@@ -76,7 +76,7 @@ def outward_vectors(mesh: TriMesh, field: UdfField,
     between its two neighbors, which cancels most of the staircase jag of
     extracted borders; junction vertices (3+ border edges) fall back to
     their first border edge. Returns (o (V, 3), resolved (V,) bool);
-    unresolved vertices (degenerate cross product) should be treated as
+    unresolved vertices (vanishing cross product) should be treated as
     interior.
     """
     border = mesh.border_edges()

@@ -7,10 +7,13 @@ Every field answers three batched queries at arbitrary 3D points:
 * ``param_sensitivity`` -- derivative of the distance w.r.t. each of the
                            field's ``param_dim`` shape parameters
 
+plus ``eval_grad`` for value and gradient together. All of them go through
+the one method a family implements, ``_query``, which does the shared work
+(closest point, radial parts, network pass) once per call.
+
 Fields are immutable after construction and safe to query from multiple
 threads. Points where the distance is exactly zero have an undefined
-gradient; those return a zero vector, detectable with
-``degenerate_gradient_mask``.
+gradient; those return a zero vector.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import numpy as np
 from .distance import MeshDistanceIndex
 from .mesh import TriMesh
 
-GRAD_DEGENERATE_NORM = 1e-12
-
 
 def _as_points(x) -> tuple[np.ndarray, bool]:
     pts = np.asarray(x, dtype=np.float64)
@@ -30,18 +31,18 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
 
 
 class UdfField:
-    """Base class; subclasses implement the batched ``_eval``/``_grad``/``_sens``."""
+    """Base class; subclasses implement the batched ``_query``."""
 
     param_dim: int = 0
 
     def eval(self, x) -> np.ndarray:
         pts, single = _as_points(x)
-        u = self._eval(pts)
+        u = self._query(pts, grad=False, sens=False)[0]
         return u[0] if single else u
 
     def grad_x(self, x) -> np.ndarray:
         pts, single = _as_points(x)
-        g = self._grad(pts)
+        g = self._query(pts, grad=True, sens=False)[1]
         return g[0] if single else g
 
     def param_sensitivity(self, x) -> np.ndarray:
@@ -49,49 +50,24 @@ class UdfField:
         if self.param_dim == 0:
             s = np.zeros((len(pts), 0))
         else:
-            s = self._sens(pts)
+            s = self._query(pts, grad=False, sens=True)[2]
         return s[0] if single else s
 
     def eval_grad(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Value and spatial gradient together; subclasses override when one
-        pass can produce both."""
+        """Value and spatial gradient from one query."""
         pts, single = _as_points(x)
-        u = self._eval(pts)
-        g = self._grad(pts)
+        u, g, _ = self._query(pts, grad=True, sens=False)
         return (u[0], g[0]) if single else (u, g)
 
-    def degenerate_gradient_mask(self, x) -> np.ndarray:
-        pts, single = _as_points(x)
-        u, g = self.eval_grad(np.atleast_2d(pts))
-        mask = (u == 0.0) | (np.linalg.norm(g, axis=-1) < GRAD_DEGENERATE_NORM)
-        return mask[0] if single else mask
+    def _query(self, pts: np.ndarray, grad: bool, sens: bool):
+        """Distances at ``(n, 3)`` points as ``(u, g, s)``.
 
-    def _eval(self, pts: np.ndarray) -> np.ndarray:
+        ``u`` has shape (n,). ``g`` is the (n, 3) spatial gradient when
+        ``grad`` is set and ``s`` the (n, param_dim) parameter sensitivity
+        when ``sens`` is set; each is None otherwise. ``sens`` is only
+        requested when ``param_dim > 0``.
+        """
         raise NotImplementedError
-
-    def _grad(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _sens(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class FiniteDifferenceGradient:
-    """Mixin supplying a central-difference spatial gradient for black-box
-    fields; step is 1e-4 of the registered domain scale."""
-
-    domain_scale: float = 2.0 * np.sqrt(3.0)  # diagonal of [-1, 1]^3
-
-    def _grad(self, pts: np.ndarray) -> np.ndarray:
-        h = 1e-4 * self.domain_scale
-        g = np.empty_like(pts)
-        for axis in range(3):
-            lo = pts.copy()
-            hi = pts.copy()
-            lo[:, axis] -= h
-            hi[:, axis] += h
-            g[:, axis] = (self._eval(hi) - self._eval(lo)) / (2 * h)
-        return g
 
 
 class MeshUdf(UdfField):
@@ -109,31 +85,20 @@ class MeshUdf(UdfField):
         _, cp = self.index.query(pts)
         return cp[0] if single else cp
 
-    def _eval(self, pts: np.ndarray) -> np.ndarray:
-        d, _ = self.index.query(pts)
-        if self.d_max is not None:
-            d = np.minimum(d, self.d_max)
-        return d
-
-    def _grad(self, pts: np.ndarray) -> np.ndarray:
-        return self._eval_grad_fused(pts)[1]
-
-    def _eval_grad_fused(self, pts: np.ndarray):
+    def _query(self, pts, grad, sens):
         d, cp = self.index.query(pts)
-        g = np.zeros_like(pts)
-        # distances at rounding scale are on-surface hits; their direction
-        # would be pure noise
-        ok = d[:, None] > 1e-12 * max(1.0, self.index.max_spread)
-        np.divide(pts - cp, d[:, None], out=g, where=ok)
+        g = None
+        if grad:
+            g = np.zeros_like(pts)
+            # distances at rounding scale are on-surface hits; their direction
+            # would be pure noise
+            ok = d[:, None] > 1e-12 * max(1.0, self.index.max_spread)
+            np.divide(pts - cp, d[:, None], out=g, where=ok)
+            if self.d_max is not None:
+                g[d >= self.d_max] = 0.0
         if self.d_max is not None:
-            g[d >= self.d_max] = 0.0
             d = np.minimum(d, self.d_max)
-        return d, g
-
-    def eval_grad(self, x):
-        pts, single = _as_points(x)
-        u, g = self._eval_grad_fused(pts)
-        return (u[0], g[0]) if single else (u, g)
+        return d, g, None
 
 
 class TranslatedPlaneUdf(UdfField):
@@ -144,16 +109,15 @@ class TranslatedPlaneUdf(UdfField):
     def __init__(self, offset: float = 0.0):
         self.offset = float(offset)
 
-    def _eval(self, pts):
-        return np.abs(pts[:, 2] - self.offset)
-
-    def _grad(self, pts):
-        g = np.zeros_like(pts)
-        g[:, 2] = np.sign(pts[:, 2] - self.offset)
-        return g
-
-    def _sens(self, pts):
-        return -np.sign(pts[:, 2] - self.offset)[:, None]
+    def _query(self, pts, grad, sens):
+        dz = pts[:, 2] - self.offset
+        g = s = None
+        if grad:
+            g = np.zeros_like(pts)
+            g[:, 2] = np.sign(dz)
+        if sens:
+            s = -np.sign(dz)[:, None]
+        return np.abs(dz), g, s
 
     def with_params(self, params) -> "TranslatedPlaneUdf":
         return TranslatedPlaneUdf(params[0])
@@ -173,21 +137,17 @@ class SphereShellUdf(UdfField):
             raise ValueError("radius must be positive")
         self.radius = float(radius)
 
-    def _radial(self, pts):
-        return np.linalg.norm(pts, axis=1)
-
-    def _eval(self, pts):
-        return np.abs(self._radial(pts) - self.radius)
-
-    def _grad(self, pts):
-        r = self._radial(pts)
+    def _query(self, pts, grad, sens):
+        r = np.linalg.norm(pts, axis=1)
         sign = np.sign(r - self.radius)
-        g = np.zeros_like(pts)
-        np.divide(pts, r[:, None], out=g, where=r[:, None] > 0)
-        return g * sign[:, None]
-
-    def _sens(self, pts):
-        return -np.sign(self._radial(pts) - self.radius)[:, None]
+        g = s = None
+        if grad:
+            g = np.zeros_like(pts)
+            np.divide(pts, r[:, None], out=g, where=r[:, None] > 0)
+            g = g * sign[:, None]
+        if sens:
+            s = -sign[:, None]
+        return np.abs(r - self.radius), g, s
 
     def with_params(self, params) -> "SphereShellUdf":
         return SphereShellUdf(params[0])
@@ -216,33 +176,23 @@ class RectanglePatchUdf(UdfField):
         self.y_range = (float(y_range[0]), float(y_range[1]))
         self.z0 = float(z0)
 
-    def _closest(self, pts):
+    def _query(self, pts, grad, sens):
         q = pts.copy()
         q[:, 0] = np.clip(pts[:, 0], self.x_min, self.x_max)
         q[:, 1] = np.clip(pts[:, 1], self.y_range[0], self.y_range[1])
         q[:, 2] = self.z0
-        return q
-
-    def _eval(self, pts):
-        return np.linalg.norm(pts - self._closest(pts), axis=1)
-
-    def _grad(self, pts):
-        q = self._closest(pts)
-        d = np.linalg.norm(pts - q, axis=1)
-        g = np.zeros_like(pts)
-        np.divide(pts - q, d[:, None], out=g, where=d[:, None] > 0)
-        return g
-
-    def _sens(self, pts):
-        q = self._closest(pts)
         diff = pts - q
         d = np.linalg.norm(diff, axis=1)
-        s = np.zeros((len(pts), 1))
-        # only points clamped to the moving border respond to it
-        clamped = pts[:, 0] > self.x_max
-        ok = clamped & (d > 0)
-        s[ok, 0] = -diff[ok, 0] / d[ok]
-        return s
+        g = s = None
+        if grad:
+            g = np.zeros_like(pts)
+            np.divide(diff, d[:, None], out=g, where=d[:, None] > 0)
+        if sens:
+            s = np.zeros((len(pts), 1))
+            # only points clamped to the moving border respond to it
+            ok = (pts[:, 0] > self.x_max) & (d > 0)
+            s[ok, 0] = -diff[ok, 0] / d[ok]
+        return d, g, s
 
     def with_params(self, params) -> "RectanglePatchUdf":
         return RectanglePatchUdf(params[0], self.x_min, self.y_range, self.z0)
@@ -264,38 +214,27 @@ class OpenCylinderUdf(UdfField):
         self.radius = float(radius)
         self.z_range = (float(z_range[0]), float(z_range[1]))
 
-    def _parts(self, pts):
+    def _query(self, pts, grad, sens):
         rho = np.hypot(pts[:, 0], pts[:, 1])
         dz = np.maximum.reduce([self.z_range[0] - pts[:, 2],
                                 pts[:, 2] - self.z_range[1],
                                 np.zeros(len(pts))])
         dr = rho - self.radius
-        return rho, dr, dz
-
-    def _eval(self, pts):
-        _, dr, dz = self._parts(pts)
         inside_band = dz == 0
-        return np.where(inside_band, np.abs(dr), np.hypot(dr, dz))
-
-    def _grad(self, pts):
-        rho, dr, dz = self._parts(pts)
-        d = self._eval(pts)
-        radial = np.zeros_like(pts)
-        np.divide(pts[:, :2], rho[:, None], out=radial[:, :2], where=rho[:, None] > 0)
-        g = np.zeros_like(pts)
+        d = np.where(inside_band, np.abs(dr), np.hypot(dr, dz))
         ok = d > 0
-        zsign = np.sign(pts[:, 2] - np.clip(pts[:, 2], *self.z_range))
-        g[ok] = radial[ok] * (dr[ok] / d[ok])[:, None]
-        g[ok, 2] = zsign[ok] * dz[ok] / d[ok]
-        return g
-
-    def _sens(self, pts):
-        _, dr, dz = self._parts(pts)
-        d = self._eval(pts)
-        s = np.zeros((len(pts), 1))
-        ok = d > 0
-        s[ok, 0] = -dr[ok] / d[ok]
-        return s
+        g = s = None
+        if grad:
+            radial = np.zeros_like(pts)
+            np.divide(pts[:, :2], rho[:, None], out=radial[:, :2], where=rho[:, None] > 0)
+            g = np.zeros_like(pts)
+            zsign = np.sign(pts[:, 2] - np.clip(pts[:, 2], *self.z_range))
+            g[ok] = radial[ok] * (dr[ok] / d[ok])[:, None]
+            g[ok, 2] = zsign[ok] * dz[ok] / d[ok]
+        if sens:
+            s = np.zeros((len(pts), 1))
+            s[ok, 0] = -dr[ok] / d[ok]
+        return d, g, s
 
     def with_params(self, params) -> "OpenCylinderUdf":
         return OpenCylinderUdf(params[0], self.z_range)
@@ -314,14 +253,10 @@ class TranslatedMeshUdf(UdfField):
         self.base = base
         self.offset = np.array(offset, dtype=np.float64).reshape(3)
 
-    def _eval(self, pts):
-        return self.base._eval(pts - self.offset)
-
-    def _grad(self, pts):
-        return self.base._grad(pts - self.offset)
-
-    def _sens(self, pts):
-        return -self.base._grad(pts - self.offset)
+    def _query(self, pts, grad, sens):
+        # d/dt u_base(x - t) = -grad u_base(x - t)
+        u, g, _ = self.base._query(pts - self.offset, grad or sens, False)
+        return u, g if grad else None, -g if sens else None
 
     def with_params(self, params) -> "TranslatedMeshUdf":
         return TranslatedMeshUdf(self.base, params)

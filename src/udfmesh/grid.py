@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GRAD_DEGENERATE_NORM, UdfField
+from .fields import UdfField
 
 THREADS_ENV_VAR = "UDF_MESHER_THREADS"
 
@@ -91,30 +91,27 @@ class GridSpec:
 class GridSamples:
     """Field values and gradients at every lattice corner.
 
-    ``u`` and ``degenerate`` have shape (N, N, N) indexed [i, j, k] = (x, y, z);
-    ``g`` appends the component axis.
+    ``u`` has shape (N, N, N) indexed [i, j, k] = (x, y, z); ``g`` appends
+    the component axis.
     """
 
     spec: GridSpec
     u: np.ndarray
     g: np.ndarray
-    degenerate: np.ndarray = dc_field(default=None)
 
     def __post_init__(self):
         n = self.spec.resolution
         assert self.u.shape == (n, n, n)
         assert self.g.shape == (n, n, n, 3)
-        if self.degenerate is None:
-            norms = np.linalg.norm(self.g, axis=-1)
-            self.degenerate = (self.u == 0.0) | (norms < GRAD_DEGENERATE_NORM)
 
     def corner_values_flat(self) -> np.ndarray:
         """u flattened x-fastest (the dump-file order)."""
         return self.u.transpose(2, 1, 0).ravel()
 
 
-def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> GridSamples:
-    """Evaluate value and gradient at every corner of the lattice.
+def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
+                    grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Values (and gradients with ``grad``) at every corner, [i, j, k] indexed.
 
     Corners are processed in fixed chunks; each worker writes a disjoint
     slice, so the result is identical for any worker count.
@@ -123,14 +120,18 @@ def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> 
     pts = spec.corner_points()
     n_pts = len(pts)
     u_flat = np.empty(n_pts)
-    g_flat = np.empty((n_pts, 3))
+    g_flat = np.empty((n_pts, 3)) if grad else None
 
     chunk = 262144
     spans = [(s, min(s + chunk, n_pts)) for s in range(0, n_pts, chunk)]
 
+    # through the public queries, so a traced run bills them to the field
     def run(span):
         s, e = span
-        u_flat[s:e], g_flat[s:e] = field.eval_grad(pts[s:e])
+        if grad:
+            u_flat[s:e], g_flat[s:e] = field.eval_grad(pts[s:e])
+        else:
+            u_flat[s:e] = field.eval(pts[s:e])
 
     if threads == 1 or len(spans) == 1:
         for span in spans:
@@ -141,34 +142,22 @@ def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> 
 
     n = spec.resolution
     # flat order is x-fastest; bring it to [i, j, k] indexing
-    u = u_flat.reshape(n, n, n).transpose(2, 1, 0)
-    g = g_flat.reshape(n, n, n, 3).transpose(2, 1, 0, 3)
-    return GridSamples(spec, np.ascontiguousarray(u), np.ascontiguousarray(g))
+    u = np.ascontiguousarray(u_flat.reshape(n, n, n).transpose(2, 1, 0))
+    if not grad:
+        return u, None
+    return u, np.ascontiguousarray(g_flat.reshape(n, n, n, 3).transpose(2, 1, 0, 3))
+
+
+def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> GridSamples:
+    """Evaluate value and gradient at every corner of the lattice."""
+    u, g = _sample_corners(field, spec, threads, grad=True)
+    return GridSamples(spec, u, g)
 
 
 def sample_grid_values(field: UdfField, spec: GridSpec,
                        threads: int | None = None) -> np.ndarray:
     """Field values only, for consumers that never touch gradients."""
-    threads = resolve_threads(threads)
-    pts = spec.corner_points()
-    n_pts = len(pts)
-    u_flat = np.empty(n_pts)
-
-    chunk = 262144
-    spans = [(s, min(s + chunk, n_pts)) for s in range(0, n_pts, chunk)]
-
-    def run(span):
-        s, e = span
-        u_flat[s:e] = field.eval(pts[s:e])
-
-    if threads == 1 or len(spans) == 1:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
-    n = spec.resolution
-    return np.ascontiguousarray(u_flat.reshape(n, n, n).transpose(2, 1, 0))
+    return _sample_corners(field, spec, threads, grad=False)[0]
 
 
 def cell_corner_sums(values: np.ndarray) -> np.ndarray:

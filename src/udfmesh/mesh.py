@@ -104,7 +104,7 @@ class TriMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def centroid(self) -> np.ndarray:
-        """Area-weighted surface centroid (vertex mean for degenerate meshes)."""
+        """Area-weighted surface centroid (vertex mean for zero-area meshes)."""
         if self.n_faces == 0:
             return self.vertices.mean(axis=0) if self.n_vertices else np.zeros(3)
         areas = self.face_areas()

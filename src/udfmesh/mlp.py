@@ -116,6 +116,12 @@ class MlpUdf(UdfField):
     # -- forward / reverse ---------------------------------------------------
 
     def _forward(self, pts: np.ndarray, want_grad: bool):
+        """One forward pass, plus the reverse pass when ``want_grad`` is set.
+
+        Returns ``(u, grad_in, pre_acts)``: the field value, the gradient of
+        u w.r.t. the network input (encoded coordinates, then latent; None
+        without ``want_grad``) and the pre-activation of every layer.
+        """
         enc = positional_encoding(pts, self.encoding_order)
         if self.latent_dim:
             lat = np.broadcast_to(self.latent, (len(pts), self.latent_dim))
@@ -125,11 +131,8 @@ class MlpUdf(UdfField):
         pre_acts = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = h @ w.T + b
-            if i < len(self.weights) - 1:
-                pre_acts.append(a)
-                h = np.maximum(a, 0.0)
-            else:
-                h = a
+            pre_acts.append(a)
+            h = np.maximum(a, 0.0) if i < len(self.weights) - 1 else a
         raw = h[:, 0]
         u = np.abs(raw)
         clamped = None
@@ -137,7 +140,7 @@ class MlpUdf(UdfField):
             clamped = u >= self.d_max
             u = np.minimum(u, self.d_max)
         if not want_grad:
-            return u, None
+            return u, None, pre_acts
 
         delta = np.sign(raw)[:, None]
         if clamped is not None:
@@ -146,10 +149,17 @@ class MlpUdf(UdfField):
             delta = delta @ self.weights[i]
             delta = delta * (pre_acts[i - 1] > 0)
         grad_in = delta @ self.weights[0]
-        return u, grad_in
+        return u, grad_in, pre_acts
 
-    def _eval(self, pts):
-        return self._forward(pts, want_grad=False)[0]
+    def _query(self, pts, grad, sens):
+        u, grad_in, _ = self._forward(pts, want_grad=grad or sens)
+        enc_cols = encoded_dim(self.encoding_order)
+        g = s = None
+        if grad:
+            g = _encoding_jacobian_apply(pts, self.encoding_order, grad_in[:, :enc_cols])
+        if sens:
+            s = grad_in[:, enc_cols:].copy()
+        return u, g, s
 
     def hidden_sign_pattern(self, pts) -> np.ndarray:
         """Concatenated rectifier on/off pattern plus the output sign.
@@ -158,31 +168,8 @@ class MlpUdf(UdfField):
         constant across the probe points (the network is piecewise linear).
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        enc = positional_encoding(pts, self.encoding_order)
-        if self.latent_dim:
-            lat = np.broadcast_to(self.latent, (len(pts), self.latent_dim))
-            h = np.concatenate([enc, lat], axis=1)
-        else:
-            h = enc
-        signs = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = h @ w.T + b
-            if i < len(self.weights) - 1:
-                signs.append(a > 0)
-                h = np.maximum(a, 0.0)
-            else:
-                signs.append(a > 0)
-        return np.concatenate(signs, axis=1)
-
-    def _grad(self, pts):
-        _, grad_in = self._forward(pts, want_grad=True)
-        enc_cols = encoded_dim(self.encoding_order)
-        return _encoding_jacobian_apply(pts, self.encoding_order, grad_in[:, :enc_cols])
-
-    def _sens(self, pts):
-        _, grad_in = self._forward(pts, want_grad=True)
-        enc_cols = encoded_dim(self.encoding_order)
-        return grad_in[:, enc_cols:].copy()
+        pre_acts = self._forward(pts, want_grad=False)[2]
+        return np.concatenate([a > 0 for a in pre_acts], axis=1)
 
     # -- serialization ---------------------------------------------------------
 

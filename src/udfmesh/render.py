@@ -108,11 +108,6 @@ def render_view(mesh: TriMesh, eye, target, size: int = IMAGE_SIZE,
     return sil, normals
 
 
-def render_views(mesh: TriMesh, cameras: np.ndarray, target,
-                 size: int = IMAGE_SIZE) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [render_view(mesh, eye, target, size) for eye in cameras]
-
-
 def normal_map_to_rgb(normals: np.ndarray, silhouette: np.ndarray) -> np.ndarray:
     """Map unit normals to displayable RGB; background stays black."""
     rgb = ((normals + 1.0) * 127.5).clip(0, 255).astype(np.uint8)

@@ -19,23 +19,20 @@ class DiskPatchUdf(UdfField):
     def __init__(self, radius=0.55, z0=0.05):
         self.radius, self.z0 = radius, z0
 
-    def _eval(self, pts):
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        dr = np.maximum(rho - self.radius, 0.0)
-        return np.hypot(dr, pts[:, 2] - self.z0)
-
-    def _grad(self, pts):
+    def _query(self, pts, grad, sens):
         rho = np.hypot(pts[:, 0], pts[:, 1])
         dr = np.maximum(rho - self.radius, 0.0)
         dz = pts[:, 2] - self.z0
         d = np.hypot(dr, dz)
+        if not grad:
+            return d, None, None
         g = np.zeros_like(pts)
         ok = d > 0
         radial = np.zeros((len(pts), 2))
         np.divide(pts[:, :2], rho[:, None], out=radial, where=rho[:, None] > 0)
         g[ok, :2] = radial[ok] * (dr[ok] / d[ok])[:, None]
         g[ok, 2] = dz[ok] / d[ok]
-        return g
+        return d, g, None
 
 
 def wavy_plane_net(latent_dim=4, order=2, amplitude=0.05):
@@ -118,15 +115,13 @@ class TestOutwardVectors:
         mesh = self.half_plane_mesh(flip=True)
 
         class MirroredPatch(UdfField):
-            def _eval(self, pts):
+            def _query(self, pts, grad, sens):
                 q = pts.copy()
                 q[:, 0] = np.clip(q[:, 0], 0.0, 2.0)
                 q[:, 1] = np.clip(q[:, 1], -2.0, 2.0)
                 q[:, 2] = 0.0
-                return np.linalg.norm(pts - q, axis=1)
-
-            def _grad(self, pts):
-                return np.zeros_like(pts)
+                g = np.zeros_like(pts) if grad else None
+                return np.linalg.norm(pts - q, axis=1), g, None
 
         o, resolved = outward_vectors(mesh, MirroredPatch())
         v = self.mid_border_vertex(mesh, 0.0)

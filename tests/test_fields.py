@@ -1,11 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from udfmesh import (MeshUdf, OpenCylinderUdf, RectanglePatchUdf,
+from udfmesh import (MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
                      SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
                      parametric_field, primitives, random_mlp)
 from udfmesh.distance import MeshDistanceIndex
-from udfmesh.fields import FiniteDifferenceGradient, UdfField
 
 
 def all_parametric_fields():
@@ -39,7 +40,6 @@ class TestMeshUdf:
     def test_zero_distance_gradient_degenerate(self, unit_patch_field):
         x = (0.1, 0.1, 0.0)
         assert np.allclose(unit_patch_field.grad_x(x), 0.0)
-        assert unit_patch_field.degenerate_gradient_mask(x)
 
     def test_closest_point_lies_on_mesh(self, unit_patch_field, rng):
         pts = rng.uniform(-1, 1, (200, 3))
@@ -131,21 +131,25 @@ class TestParametricFamilies:
             parametric_field("torus", [])
 
 
-class TestBlackBoxGradientFallback:
-    class OpaqueSphere(FiniteDifferenceGradient, UdfField):
-        """Field exposing only values; gradients fall back to differences."""
+class TestSinglePassQuery:
+    def test_eval_grad_runs_shared_work_once(self, monkeypatch, unit_patch_field, rng):
+        calls = Counter()
 
-        def _eval(self, pts):
-            return np.abs(np.linalg.norm(pts, axis=1) - 0.5)
+        def count(cls, name):
+            original = getattr(cls, name)
 
-    def test_fd_gradient_close_to_analytic(self, rng):
-        black_box = self.OpaqueSphere()
-        exact = SphereShellUdf(0.5)
-        pts = rng.uniform(-1, 1, (500, 3))
-        pts = pts[exact.eval(pts) > 0.05]
-        g_fd = black_box.grad_x(pts)
-        g_true = exact.grad_x(pts)
-        assert np.linalg.norm(g_fd - g_true, axis=1).max() < 1e-5
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+
+        count(MlpUdf, "_forward")
+        count(MeshDistanceIndex, "query")
+        pts = rng.uniform(-1, 1, (50, 3))
+        random_mlp(hidden=(8,), latent_dim=2, seed=0).eval_grad(pts)
+        assert calls == {"_forward": 1}
+        TranslatedMeshUdf(unit_patch_field, (0.1, -0.2, 0.05)).eval_grad(pts)
+        assert calls == {"_forward": 1, "query": 1}
 
 
 class TestMlpNonNegativity:

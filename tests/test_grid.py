@@ -1,10 +1,34 @@
 import numpy as np
 import pytest
 
-from udfmesh import (GridSpec, MeshUdf, RectanglePatchUdf, SphereShellUdf,
-                     TranslatedPlaneUdf, candidate_cells, dump_grid,
-                     load_grid_dump, primitives, sample_grid,
-                     sample_grid_values)
+from udfmesh import (GridSpec, MeshUdf, OpenCylinderUdf, RectanglePatchUdf,
+                     SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
+                     candidate_cells, dump_grid, load_grid_dump, primitives,
+                     random_mlp, sample_grid, sample_grid_values)
+
+
+def one_field_per_family():
+    patch = MeshUdf(primitives.square_patch(side=1.0, z=0.0))
+    net = random_mlp(hidden=(16, 16), encoding_order=3, latent_dim=4,
+                     d_max=0.45, seed=3)
+    return {
+        "mesh": patch,
+        "mesh-dmax": MeshUdf(patch.mesh, d_max=0.3),
+        "translated-mesh": TranslatedMeshUdf(patch, (0.1, -0.2, 0.05)),
+        "plane": TranslatedPlaneUdf(0.17),
+        "sphere": SphereShellUdf(0.45),
+        "patch": RectanglePatchUdf(0.4, -0.5, (-0.45, 0.55), 0.08),
+        "cylinder": OpenCylinderUdf(0.55, (-0.5, 0.4)),
+        "mlp": net.with_latent([0.3, -0.2, 0.1, 0.25]),
+    }
+
+
+FAMILIES = one_field_per_family()
+
+
+def assert_bitwise(a, b):
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64))
 
 
 class TestGridSpec:
@@ -50,14 +74,19 @@ class TestSampleGrid:
         samples = sample_grid(SphereShellUdf(0.5), GridSpec(3))
         assert samples.u[1, 1, 1] == pytest.approx(0.5)
 
-    def test_matches_direct_eval(self, rng):
-        field = SphereShellUdf(0.45)
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_matches_direct_eval(self, name):
+        field = FAMILIES[name]
         spec = GridSpec(9, (-1.01, -0.99, -1.0), (0.99, 1.01, 1.0))
         samples = sample_grid(field, spec)
-        i, j, k = 3, 5, 7
-        x = (spec.axis_coords(0)[i], spec.axis_coords(1)[j], spec.axis_coords(2)[k])
-        assert samples.u[i, j, k] == field.eval(x)
-        np.testing.assert_array_equal(samples.g[i, j, k], field.grad_x(x))
+        pts = spec.corner_points()
+        n = spec.resolution
+        # corner_points runs x fastest; samples are indexed [i, j, k]
+        u = field.eval(pts).reshape(n, n, n).transpose(2, 1, 0)
+        g = field.grad_x(pts).reshape(n, n, n, 3).transpose(2, 1, 0, 3)
+        assert_bitwise(samples.u, u)
+        assert_bitwise(samples.g, g)
+        assert_bitwise(sample_grid_values(field, spec), u)
 
     def test_thread_count_does_not_change_results(self):
         field = SphereShellUdf(0.5)
