@@ -13,7 +13,7 @@ from .diffgeom import (VertexJacobian, assemble_jacobian,
                        outward_vectors, vertex_normal, vertex_normals)
 from .extract import (ExtractStats, PseudoSignedCell, extract_mesh,
                       extract_mesh_detailed, mesh_signed_grid,
-                      pseudo_sign_cell, triangulate_cell, weld_vertices)
+                      pseudo_sign_cell, triangulate_cell)
 from .fields import (MeshUdf, OpenCylinderUdf, RectanglePatchUdf,
                      SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
                      UdfField, parametric_field)
@@ -44,6 +44,6 @@ __all__ = [
     "primitives", "pseudo_sign_cell", "random_mlp", "read_mesh", "read_obj",
     "read_ply", "read_xyz", "remove_spurious_facets", "sample_grid",
     "sample_grid_values", "sample_surface", "smooth_borders",
-    "triangulate_cell", "vertex_normal", "vertex_normals", "weld_vertices",
-    "write_mesh", "write_obj", "write_ply", "write_xyz",
+    "triangulate_cell", "vertex_normal", "vertex_normals", "write_mesh",
+    "write_obj", "write_ply", "write_xyz",
 ]

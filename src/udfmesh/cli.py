@@ -19,7 +19,7 @@ import numpy as np
 from . import diffgeom, io, metrics
 from .extract import extract_mesh_detailed
 from .fields import MeshUdf, UdfField, parametric_field
-from .grid import GridSpec, dump_grid, sample_grid
+from .grid import GridSpec, NonFiniteFieldError, dump_grid, sample_grid
 from .mlp import MlpUdf, WeightFileError
 from .postprocess import remove_spurious_facets, smooth_borders
 
@@ -105,24 +105,12 @@ def _build_spec(args) -> GridSpec:
         raise CliError(str(exc))
 
 
-def _check_finite(samples):
-    bad = ~np.isfinite(samples.u)
-    if bad.any():
-        i, j, k = np.argwhere(bad)[0]
-        pts = samples.spec.axis_coords(0)[i], samples.spec.axis_coords(1)[j], \
-            samples.spec.axis_coords(2)[k]
-        raise CliError("field produced a non-finite value at corner "
-                       f"({pts[0]:.6g}, {pts[1]:.6g}, {pts[2]:.6g})")
-
-
 def cmd_mesh(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
     t0 = time.perf_counter()
-    samples = sample_grid(field, spec, threads=args.threads)
-    _check_finite(samples)
     mesh, stats = extract_mesh_detailed(field, spec, args.cull_factor,
-                                        args.grad_norm_min, samples=samples)
+                                        args.grad_norm_min, threads=args.threads)
     prune_tol = args.prune_tol if args.prune_tol else 0.5 * spec.cell_diagonal
     if not args.no_prune and not mesh.is_empty():
         mesh = remove_spurious_facets(mesh, field, prune_tol)
@@ -135,6 +123,13 @@ def cmd_mesh(args) -> int:
     print(f"output: {mesh.n_vertices} vertices, {mesh.n_faces} faces, "
           f"{len(mesh.border_edges())} border edges")
     print(f"total: {total:.3f} s -> {args.out}")
+    if mesh.is_empty():
+        print(f"error: output mesh has no faces ({stats.candidate_cells} candidate "
+              f"cells: {stats.skipped_no_anchor} no-valid-anchor, "
+              f"{stats.skipped_no_crossing} no-crossing); if the surface lies "
+              "on lattice corners, shift --bounds by a fraction of a cell",
+              file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -272,7 +267,6 @@ def cmd_dump_grid(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
     samples = sample_grid(field, spec, threads=args.threads)
-    _check_finite(samples)
     data_path, meta_path = dump_grid(samples, args.out)
     print(f"wrote {data_path} and {meta_path}")
     return EXIT_OK
@@ -369,6 +363,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except NonFiniteFieldError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -8,8 +8,11 @@ and get their distance negated. The standard case table and edge
 interpolation then apply unchanged. Cells where no corner has a usable
 gradient are skipped rather than guessed.
 
-The same case-table kernel drives signed extraction (``mesh_signed_grid``),
-which the inflation baseline uses on offset values.
+One batched kernel does this work: ``_pseudo_sign`` signs a batch of cells
+and ``_mesh_cells`` triangulates and welds them. ``extract_mesh_detailed``
+runs both over every candidate cell, ``mesh_signed_grid`` (the inflation
+baseline) runs ``_mesh_cells`` on signed values, and ``pseudo_sign_cell`` and
+``triangulate_cell`` run them on a single cell.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import GridSamples, GridSpec, candidate_cells, sample_grid
-from .mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, EDGE_CORNERS,
+from .grid import (GridSamples, GridSpec, candidate_cells, cell_corner_sums,
+                   sample_grid)
+from .mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE,
                         EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
 from .mesh import TriMesh, empty_mesh
 
@@ -33,22 +37,19 @@ SKIP_CULLED = "culled"
 
 _CASE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.int64)
 
+# TRI_TABLE as one array, each row padded with -1 to the longest case
+_TRI_ROWS = np.array([tri + [-1] * (15 - len(tri)) for tri in TRI_TABLE],
+                     dtype=np.int64)
+
 
 @dataclass
 class PseudoSignedCell:
     """Per-cell pseudo-sign assignment, or the reason it was skipped."""
 
     cell_index: int
-    corner_indices: np.ndarray      # 8 linear lattice indices
     values: np.ndarray | None       # pseudo-signed distances, None if skipped
     anchor: int | None              # local corner 0-7
     skipped: str | None = None
-
-    @property
-    def case_index(self) -> int:
-        if self.values is None:
-            return 0
-        return int(((self.values < 0) * _CASE_BITS).sum())
 
 
 @dataclass
@@ -84,6 +85,65 @@ def _gather_cell_corners(values: np.ndarray, ijk: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pseudo_sign(u8: np.ndarray, g8: np.ndarray, grad_norm_min: float,
+                 anchor=None):
+    """Pseudo-sign m cells from their corner values (m, 8) and gradients (m, 8, 3).
+
+    Anchors follow the rule of ``pseudo_sign_cell``; a given ``anchor``
+    overrides the choice for every cell. Returns (s, anchor, has_anchor):
+    the signed values and the anchors of the cells that have one, and the
+    (m,) mask of those cells.
+    """
+    if anchor is None:
+        norms = np.linalg.norm(g8, axis=2)
+        valid = norms >= grad_norm_min
+        has_anchor = valid.any(axis=1)
+        anchor = np.argmax(np.where(valid, norms, -1.0)[has_anchor], axis=1)
+    else:
+        has_anchor = np.ones(len(u8), dtype=bool)
+        anchor = np.full(len(u8), anchor, dtype=np.int64)
+    u8, g8 = u8[has_anchor], g8[has_anchor]
+    g_anchor = g8[np.arange(len(g8)), anchor]
+    dots = np.einsum("mcj,mj->mc", g8, g_anchor)
+    return np.where(dots < 0, -u8, u8), anchor, has_anchor
+
+
+def _mesh_cells(spec: GridSpec, cells_ijk: np.ndarray, s: np.ndarray):
+    """Case-table triangulation and weld of m cells with signed corner values.
+
+    Cells must come sorted by linear index; faces then come out cell by
+    cell in table order. Every cut lattice edge becomes one vertex, ordered
+    by global edge id. Interpolating each edge from its low corner to its
+    high one makes the position independent of which incident cell computes
+    it. Returns (mesh, ids, cut): the mesh plus the (m, 12) global edge ids
+    of every cell and the mask of those its signs cut.
+    """
+    n = spec.resolution
+    ids = EDGE_AXIS * n ** 3 + spec.corner_linear_index(cells_ijk[:, None, :] + EDGE_BASE)
+    neg = s < 0
+    lo, hi = EDGE_CORNERS_LOW_HIGH.T
+    cut = neg[:, lo] != neg[:, hi]
+    if not cut.any():
+        return empty_mesh(), ids, cut
+
+    cell_of, edge_of = np.nonzero(cut)
+    _, first, inverse = np.unique(ids[cut], return_index=True, return_inverse=True)
+    c, ca, cb = cell_of[first], lo[edge_of[first]], hi[edge_of[first]]
+    axes = np.stack([spec.axis_coords(a) for a in range(3)])
+    pa = axes[np.arange(3), cells_ijk[c] + CORNER_OFFSETS[ca]]
+    pb = axes[np.arange(3), cells_ijk[c] + CORNER_OFFSETS[cb]]
+    t = s[c, ca] / (s[c, ca] - s[c, cb])
+    vertices = pa + t[:, None] * (pb - pa)
+
+    vertex_of = np.full(cut.shape, -1, dtype=np.int64)
+    vertex_of[cut] = inverse
+    tri = _TRI_ROWS[neg @ _CASE_BITS]
+    has_tri = tri >= 0
+    face_cell = np.broadcast_to(np.arange(len(tri))[:, None], tri.shape)[has_tri]
+    faces = vertex_of[face_cell, tri[has_tri]].reshape(-1, 3)
+    return TriMesh(vertices, faces), ids, cut
+
+
 def pseudo_sign_cell(samples: GridSamples, cell_index: int,
                      grad_norm_min: float = DEFAULT_GRAD_NORM_MIN,
                      force_anchor: int | None = None) -> PseudoSignedCell:
@@ -94,27 +154,14 @@ def pseudo_sign_cell(samples: GridSamples, cell_index: int,
     no such corner is skipped. ``force_anchor`` overrides the choice, which
     the anchor-invariance tests rely on.
     """
-    spec = samples.spec
-    ijk = spec.cell_origin_ijk(np.array([cell_index]))
-    corners_ijk = ijk[0] + CORNER_OFFSETS
-    corner_lin = spec.corner_linear_index(corners_ijk)
-    u8 = _gather_cell_corners(samples.u, ijk)[0]
-    g8 = _gather_cell_corners(samples.g, ijk)[0]
-    norms = np.linalg.norm(g8, axis=1)
-
-    if force_anchor is not None:
-        anchor = int(force_anchor)
-    else:
-        valid = norms >= grad_norm_min
-        if not valid.any():
-            return PseudoSignedCell(cell_index, corner_lin, None, None, SKIP_NO_ANCHOR)
-        anchor = int(np.argmax(np.where(valid, norms, -1.0)))
-
-    dots = g8 @ g8[anchor]
-    s = np.where(dots < 0, -u8, u8)
-    if not (s < 0).any():
-        return PseudoSignedCell(cell_index, corner_lin, s, anchor, SKIP_NO_CROSSING)
-    return PseudoSignedCell(cell_index, corner_lin, s, anchor)
+    ijk = samples.spec.cell_origin_ijk(np.array([cell_index]))
+    s, anchor, has_anchor = _pseudo_sign(_gather_cell_corners(samples.u, ijk),
+                                         _gather_cell_corners(samples.g, ijk),
+                                         grad_norm_min, force_anchor)
+    if not has_anchor[0]:
+        return PseudoSignedCell(cell_index, None, None, SKIP_NO_ANCHOR)
+    skipped = None if (s[0] < 0).any() else SKIP_NO_CROSSING
+    return PseudoSignedCell(cell_index, s[0], int(anchor[0]), skipped)
 
 
 def triangulate_cell(cell: PseudoSignedCell, spec: GridSpec) -> np.ndarray:
@@ -122,83 +169,8 @@ def triangulate_cell(cell: PseudoSignedCell, spec: GridSpec) -> np.ndarray:
     if cell.values is None:
         return np.zeros((0, 3, 3))
     ijk = spec.cell_origin_ijk(np.array([cell.cell_index]))
-    positions, edge_ids, face_rows, _, _ = _triangulate_cells(
-        spec, ijk, cell.values[None, :])
-    return positions[face_rows]
-
-
-def _triangulate_cells(spec: GridSpec, cells_ijk: np.ndarray, s: np.ndarray):
-    """Case-table triangulation of many cells at once.
-
-    Returns (positions, edge_ids, face_rows, face_cells, face_ordinals):
-    per-vertex interpolated positions and global lattice-edge ids, plus faces
-    as row triples into the vertex block.
-    """
-    m = len(cells_ijk)
-    n = spec.resolution
-    axes = [spec.axis_coords(a) for a in range(3)]
-    cases = ((s < 0) @ _CASE_BITS).astype(np.int64)
-
-    pos_parts, id_parts, face_parts, fcell_parts, ford_parts = [], [], [], [], []
-    block = 0
-    for case in np.unique(cases):
-        tri = TRI_TABLE[case]
-        if not tri:
-            continue
-        rows = np.flatnonzero(cases == case)
-        local_edges = sorted(set(tri))
-        ncut = len(local_edges)
-        origin = cells_ijk[rows]
-
-        pos = np.empty((len(rows), ncut, 3))
-        ids = np.empty((len(rows), ncut), dtype=np.int64)
-        for col, e in enumerate(local_edges):
-            ca, cb = EDGE_CORNERS_LOW_HIGH[e]
-            sa, sb = s[rows, ca], s[rows, cb]
-            t = sa / (sa - sb)
-            ijk_a = origin + CORNER_OFFSETS[ca]
-            ijk_b = origin + CORNER_OFFSETS[cb]
-            pa = np.stack([axes[ax][ijk_a[:, ax]] for ax in range(3)], axis=1)
-            pb = np.stack([axes[ax][ijk_b[:, ax]] for ax in range(3)], axis=1)
-            pos[:, col] = pa + t[:, None] * (pb - pa)
-            base = spec.corner_linear_index(origin + EDGE_BASE[e])
-            ids[:, col] = EDGE_AXIS[e] * n ** 3 + base
-
-        edge_col = {e: c for c, e in enumerate(local_edges)}
-        tri_cols = np.array([edge_col[e] for e in tri], dtype=np.int64).reshape(-1, 3)
-        ntri = len(tri_cols)
-        # vertex block rows are cell-major then edge-major
-        rows_base = block + np.arange(len(rows), dtype=np.int64)[:, None, None] * ncut
-        faces = rows_base + tri_cols[None, :, :]
-
-        pos_parts.append(pos.reshape(-1, 3))
-        id_parts.append(ids.reshape(-1))
-        face_parts.append(faces.reshape(-1, 3))
-        fcell_parts.append(np.repeat(spec.cell_linear_index(origin), ntri))
-        ford_parts.append(np.tile(np.arange(ntri, dtype=np.int64), len(rows)))
-        block += len(rows) * ncut
-
-    if not pos_parts:
-        z3 = np.zeros((0, 3))
-        zi = np.zeros(0, dtype=np.int64)
-        return z3, zi, np.zeros((0, 3), dtype=np.int64), zi, zi
-    return (np.concatenate(pos_parts), np.concatenate(id_parts),
-            np.concatenate(face_parts), np.concatenate(fcell_parts),
-            np.concatenate(ford_parts))
-
-
-def weld_vertices(edge_ids: np.ndarray, positions: np.ndarray,
-                  face_rows: np.ndarray) -> TriMesh:
-    """Merge vertices that share a lattice edge id into a single index.
-
-    Interpolated positions on a shared edge agree bit-for-bit between the
-    incident cells, so identity on the integer edge id is the whole weld.
-    Vertices come out ordered by edge id, independent of emission order.
-    """
-    if len(edge_ids) == 0:
-        return empty_mesh()
-    uniq, first, inverse = np.unique(edge_ids, return_index=True, return_inverse=True)
-    return TriMesh(positions[first], inverse[face_rows])
+    mesh, _, _ = _mesh_cells(spec, ijk, cell.values[None, :])
+    return mesh.vertices[mesh.faces]
 
 
 def extract_mesh_detailed(field, spec: GridSpec,
@@ -207,7 +179,13 @@ def extract_mesh_detailed(field, spec: GridSpec,
                           threads: int | None = None,
                           samples: GridSamples | None = None
                           ) -> tuple[TriMesh, ExtractStats]:
-    """Full pipeline: sample, cull, pseudo-sign, triangulate, weld."""
+    """Full pipeline: sample, cull, pseudo-sign, triangulate, weld.
+
+    An edge cut in one sign-assigned cell but uncut in another is counted in
+    ``edge_disagreements``. Neighboring cells can disagree near borders when
+    their anchors induce different sign partitions; those edges are
+    reported, not repaired.
+    """
     stats = ExtractStats(total_cells=spec.n_cells)
     t0 = time.perf_counter()
     if samples is None:
@@ -218,35 +196,18 @@ def extract_mesh_detailed(field, spec: GridSpec,
     cand = candidate_cells(samples, spec, cull_factor)
     stats.candidate_cells = len(cand)
     stats.culled_cells = stats.total_cells - len(cand)
-    if len(cand) == 0:
-        stats.timings["extract"] = time.perf_counter() - t0
-        return empty_mesh(), stats
 
     ijk = spec.cell_origin_ijk(cand)
-    u8 = _gather_cell_corners(samples.u, ijk)
-    g8 = _gather_cell_corners(samples.g, ijk)
-    norms = np.linalg.norm(g8, axis=2)
-
-    valid = norms >= grad_norm_min
-    has_anchor = valid.any(axis=1)
-    stats.skipped_no_anchor = int((~has_anchor).sum())
-
-    ijk = ijk[has_anchor]
-    u8, g8, norms = u8[has_anchor], g8[has_anchor], norms[has_anchor]
-    anchor = np.argmax(np.where(valid[has_anchor], norms, -1.0), axis=1)
-    g_anchor = g8[np.arange(len(g8)), anchor]
-    dots = np.einsum("mcj,mj->mc", g8, g_anchor)
-    s = np.where(dots < 0, -u8, u8)
-
+    s, _, has_anchor = _pseudo_sign(_gather_cell_corners(samples.u, ijk),
+                                    _gather_cell_corners(samples.g, ijk),
+                                    grad_norm_min)
     crossing = (s < 0).any(axis=1)
+    stats.skipped_no_anchor = int((~has_anchor).sum())
     stats.skipped_no_crossing = int((~crossing).sum())
     stats.triangulated_cells = int(crossing.sum())
 
-    positions, edge_ids, face_rows, face_cells, face_ords = _triangulate_cells(
-        spec, ijk[crossing], s[crossing])
-    order = np.lexsort((face_ords, face_cells))
-    mesh = weld_vertices(edge_ids, positions, face_rows[order])
-    stats.edge_disagreements = _count_edge_disagreements(spec, ijk, s, edge_ids)
+    mesh, ids, cut = _mesh_cells(spec, ijk[has_anchor], s)
+    stats.edge_disagreements = int(np.isin(np.unique(ids[cut]), ids[~cut]).sum())
     stats.timings["extract"] = time.perf_counter() - t0
     return mesh, stats
 
@@ -261,46 +222,13 @@ def extract_mesh(field, spec: GridSpec,
     return mesh
 
 
-def _count_edge_disagreements(spec: GridSpec, cells_ijk: np.ndarray,
-                              s: np.ndarray, cut_ids: np.ndarray) -> int:
-    """Edges cut in one cell but seen as uncut by another sign-assigned cell.
-
-    Neighboring cells can disagree near borders when their anchors induce
-    different sign partitions; those edges are reported, not repaired.
-    """
-    if len(cut_ids) == 0 or len(cells_ijk) == 0:
-        return 0
-    n = spec.resolution
-    neg = s < 0
-    uncut_parts = []
-    for e in range(12):
-        ca, cb = EDGE_CORNERS[e]
-        uncut = neg[:, ca] == neg[:, cb]
-        if not uncut.any():
-            continue
-        base = spec.corner_linear_index(cells_ijk[uncut] + EDGE_BASE[e])
-        uncut_parts.append(EDGE_AXIS[e] * n ** 3 + base)
-    if not uncut_parts:
-        return 0
-    uncut_ids = np.concatenate(uncut_parts)
-    return int(np.isin(np.unique(cut_ids), uncut_ids).sum())
-
-
 def mesh_signed_grid(values: np.ndarray, spec: GridSpec) -> TriMesh:
     """Standard signed marching cubes over corner values (negative inside)."""
     n = spec.resolution
     assert values.shape == (n, n, n)
-    inside = values < 0
-    cases = np.zeros((n - 1,) * 3, dtype=np.int64)
-    for c, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
-        sl = inside[dx:dx + n - 1, dy:dy + n - 1, dz:dz + n - 1]
-        cases += (sl.astype(np.int64) << c)
-    active = (cases > 0) & (cases < 255)
-    idx = np.argwhere(active)
-    if len(idx) == 0:
-        return empty_mesh()
-    s = _gather_cell_corners(values, idx)
-    positions, edge_ids, face_rows, face_cells, face_ords = _triangulate_cells(
-        spec, idx, s)
-    order = np.lexsort((face_ords, face_cells))
-    return weld_vertices(edge_ids, positions, face_rows[order])
+    inside = cell_corner_sums(values < 0)
+    active = (inside > 0) & (inside < 8)
+    # x-fastest ravel: active cells come out sorted by linear index
+    ijk = spec.cell_origin_ijk(np.flatnonzero(active.transpose(2, 1, 0).ravel()))
+    mesh, _, _ = _mesh_cells(spec, ijk, _gather_cell_corners(values, ijk))
+    return mesh

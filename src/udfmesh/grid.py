@@ -22,6 +22,10 @@ def resolve_threads(threads: int | None = None) -> int:
     return max(1, int(threads))
 
 
+class NonFiniteFieldError(ValueError):
+    """A field returned NaN or infinity at a lattice corner."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Corner lattice over an axis-aligned box; ``resolution`` counts corners
@@ -114,7 +118,9 @@ def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
     """Values (and gradients with ``grad``) at every corner, [i, j, k] indexed.
 
     Corners are processed in fixed chunks; each worker writes a disjoint
-    slice, so the result is identical for any worker count.
+    slice, so the result is identical for any worker count. A non-finite
+    value raises ``NonFiniteFieldError`` naming the first such corner in
+    x-fastest order.
     """
     threads = resolve_threads(threads)
     pts = spec.corner_points()
@@ -139,6 +145,12 @@ def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, spans))
+
+    bad = np.flatnonzero(~np.isfinite(u_flat))
+    if len(bad):
+        x, y, z = pts[bad[0]]
+        raise NonFiniteFieldError("field produced a non-finite value at corner "
+                                  f"({x:.6g}, {y:.6g}, {z:.6g})")
 
     n = spec.resolution
     # flat order is x-fastest; bring it to [i, j, k] indexing

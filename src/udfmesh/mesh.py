@@ -54,7 +54,10 @@ class TriMesh:
                                       self.faces[:, [1, 2]],
                                       self.faces[:, [2, 0]]])
                 raw = np.sort(raw, axis=1)
-                edges, counts = np.unique(raw, axis=0, return_counts=True)
+                # one integer key per (low, high) pair sorts like the pair
+                nv = self.n_vertices
+                keys, counts = np.unique(raw[:, 0] * nv + raw[:, 1], return_counts=True)
+                edges = np.stack(np.divmod(keys, nv), axis=1)
                 self._cache["edges"] = (edges, counts)
         return self._cache["edges"]
 

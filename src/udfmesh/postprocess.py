@@ -57,4 +57,5 @@ def smooth_borders(mesh: TriMesh, steps: int = 5, weight: float = 0.5) -> TriMes
     for _ in range(steps):
         mid = 0.5 * (verts[nbr[idx, 0]] + verts[nbr[idx, 1]])
         verts[idx] += weight * (mid - verts[idx])
-    return TriMesh(verts, mesh.faces.copy())
+    # same faces, so the connectivity cache carries over
+    return TriMesh(verts, mesh.faces.copy(), _cache=dict(mesh._cache))

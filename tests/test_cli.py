@@ -13,6 +13,16 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def nan_weights(tmp_path):
+    """Weight file whose output bias is NaN, so every corner is non-finite."""
+    data = random_mlp(hidden=(4,), encoding_order=2, seed=0).to_dict()
+    data["biases"][-1][0] = float("nan")
+    wpath = tmp_path / "nan.json"
+    with open(wpath, "w") as fh:
+        json.dump(data, fh)
+    return wpath
+
+
 class TestMeshCommand:
     def test_family_sphere_watertight(self, tmp_path, capsys):
         out = tmp_path / "sphere.obj"
@@ -45,16 +55,22 @@ class TestMeshCommand:
         assert code == 2
 
     def test_nan_field_aborts_with_location(self, tmp_path, capsys):
-        net = random_mlp(hidden=(4,), encoding_order=2, seed=0)
-        data = net.to_dict()
-        data["biases"][-1][0] = float("nan")
-        wpath = tmp_path / "nan.json"
-        with open(wpath, "w") as fh:
-            json.dump(data, fh)
-        code = run("mesh", "--weights", wpath, "--res", "5",
+        code = run("mesh", "--weights", nan_weights(tmp_path), "--res", "5",
                    "--out", tmp_path / "o.obj")
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_lattice_plane_sheet_empty_output_exits_1(self, tmp_path, capsys):
+        # z = 0 is a lattice plane of the default box: every corner on the
+        # sheet is an exact zero and no cell sees a crossing
+        ref = tmp_path / "patch.obj"
+        write_obj(primitives.square_patch(side=1.0, z=0.0), ref)
+        out = tmp_path / "out.obj"
+        code = run("mesh", "--mesh", ref, "--res", "17", "--out", out)
+        assert code == 1
+        assert read_obj(out).is_empty()
+        err = capsys.readouterr().err
+        assert "candidate" in err and "no-crossing" in err and "--bounds" in err
 
     def test_ply_output(self, tmp_path):
         out = tmp_path / "sphere.ply"
@@ -83,6 +99,12 @@ class TestInflateCommand:
         code = run("mesh-inflate", "--mesh", ref, "--res", "65", "--out", out)
         assert code == 0
         assert read_obj(out).is_watertight()
+
+    def test_nan_field_exits_2(self, tmp_path, capsys):
+        code = run("mesh-inflate", "--weights", nan_weights(tmp_path),
+                   "--res", "5", "--out", tmp_path / "o.obj")
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestMetricsCommand:

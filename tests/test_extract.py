@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from udfmesh import (GridSamples, GridSpec, SphereShellUdf,
-                     TranslatedPlaneUdf, extract_mesh, extract_mesh_detailed,
-                     mesh_signed_grid, pseudo_sign_cell, sample_grid,
-                     triangulate_cell, weld_vertices, write_obj)
-from udfmesh.extract import SKIP_NO_ANCHOR, SKIP_NO_CROSSING, _triangulate_cells
+                     TranslatedPlaneUdf, candidate_cells, extract_mesh,
+                     extract_mesh_detailed, mesh_signed_grid, pseudo_sign_cell,
+                     sample_grid, triangulate_cell, write_obj)
+from udfmesh.extract import SKIP_NO_ANCHOR, SKIP_NO_CROSSING, _mesh_cells
 
 from conftest import generic_spec
 from oracles import signed_marching_cubes, vertex_sets_match
@@ -100,13 +100,22 @@ class TestTriangulateCell:
         cell = pseudo_sign_cell(samples, 0, grad_norm_min=0.3)
         assert triangulate_cell(cell, spec).shape == (0, 3, 3)
 
+    def test_single_cell_wrappers_reproduce_extract_mesh(self):
+        field = SphereShellUdf(0.5)
+        spec = generic_spec(17)
+        samples = sample_grid(field, spec)
+        mesh = extract_mesh(field, spec, samples=samples)
+        tris = [triangulate_cell(pseudo_sign_cell(samples, int(c)), spec)
+                for c in candidate_cells(samples, spec)]
+        np.testing.assert_array_equal(np.concatenate(tris),
+                                      mesh.vertices[mesh.faces])
+
 
 class TestAnchorInvariance:
     def test_well_conditioned_cells_anchor_independent(self):
         field = SphereShellUdf(0.5)
         spec = generic_spec(17)
         samples = sample_grid(field, spec)
-        from udfmesh import candidate_cells
         checked = 0
         for cell_idx in candidate_cells(samples, spec)[:600]:
             base = pseudo_sign_cell(samples, int(cell_idx))
@@ -148,30 +157,30 @@ class TestWeld:
         samples, spec = slab_cell()
         cell = pseudo_sign_cell(samples, 0)
         ijk = spec.cell_origin_ijk(np.array([0]))
-        pos, ids, faces, _, _ = _triangulate_cells(spec, ijk, cell.values[None])
-        mesh = weld_vertices(ids, pos, faces)
-        assert mesh.n_vertices == len(np.unique(ids)) == 4
+        mesh, ids, cut = _mesh_cells(spec, ijk, cell.values[None])
+        assert mesh.n_vertices == len(np.unique(ids[cut])) == 4
 
     def test_shared_edge_positions_bitwise_identical(self):
+        # mesh every crossing cell on its own: a lattice edge cut by several
+        # cells gets bitwise the same vertex from each of them
         field = SphereShellUdf(0.5)
         spec = generic_spec(17)
-        mesh, stats = extract_mesh_detailed(field, spec)
         samples = sample_grid(field, spec)
-        from udfmesh import candidate_cells
-        from udfmesh.extract import _gather_cell_corners
-        cand = candidate_cells(samples, spec)
-        ijk = spec.cell_origin_ijk(cand)
-        u8 = _gather_cell_corners(samples.u, ijk)
-        g8 = _gather_cell_corners(samples.g, ijk)
-        anchor = np.argmax(np.linalg.norm(g8, axis=2), axis=1)
-        g_anchor = g8[np.arange(len(g8)), anchor]
-        s = np.where(np.einsum("mcj,mj->mc", g8, g_anchor) < 0, -u8, u8)
-        keep = (s < 0).any(axis=1)
-        pos, ids, _, _, _ = _triangulate_cells(spec, ijk[keep], s[keep])
+        edge_ids, positions = [], []
+        for c in candidate_cells(samples, spec):
+            cell = pseudo_sign_cell(samples, int(c))
+            if cell.skipped is not None:
+                continue
+            mesh, ids, cut = _mesh_cells(spec, spec.cell_origin_ijk(np.array([c])),
+                                         cell.values[None])
+            edge_ids.append(np.unique(ids[cut]))    # the vertex order
+            positions.append(mesh.vertices)
+        ids, pos = np.concatenate(edge_ids), np.concatenate(positions)
         order = np.argsort(ids, kind="stable")
         ids, pos = ids[order], pos[order]
-        for run_start in np.flatnonzero(np.diff(ids) == 0):
-            np.testing.assert_array_equal(pos[run_start], pos[run_start + 1])
+        shared = np.flatnonzero(np.diff(ids) == 0)
+        assert len(shared) > 100
+        np.testing.assert_array_equal(pos[shared], pos[shared + 1])
 
     def test_manifold_edges_everywhere_on_open_sheet(self):
         # domain-clipped plane sheet: every non-border edge joins two faces

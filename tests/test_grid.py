@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from udfmesh import (GridSpec, MeshUdf, OpenCylinderUdf, RectanglePatchUdf,
-                     SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
+from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf,
+                     RectanglePatchUdf, SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
                      candidate_cells, dump_grid, load_grid_dump, primitives,
                      random_mlp, sample_grid, sample_grid_values)
 
@@ -120,6 +120,14 @@ class TestSampleGrid:
         spec = GridSpec(17)
         np.testing.assert_array_equal(sample_grid_values(field, spec),
                                       sample_grid(field, spec).u)
+
+    @pytest.mark.parametrize("sampler", [sample_grid, sample_grid_values])
+    def test_non_finite_value_raises_naming_corner(self, sampler):
+        data = random_mlp(hidden=(4,), encoding_order=2, seed=0).to_dict()
+        data["biases"][-1][0] = float("nan")
+        with pytest.raises(ValueError,
+                           match=r"non-finite value at corner \(-1, -1, -1\)"):
+            sampler(MlpUdf.from_dict(data), GridSpec(5))
 
 
 class TestCandidateCells:

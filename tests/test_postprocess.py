@@ -136,6 +136,16 @@ class TestSmoothBorders:
         # the sheet is planar, so smoothing must keep it planar
         np.testing.assert_allclose(out.vertices[:, 2], 0.07, atol=1e-12)
 
+    def test_connectivity_matches_pair_unique_and_carries_over(self):
+        mesh = extract_mesh(TranslatedPlaneUdf(0.07), GridSpec(17))
+        edges, counts = mesh.edges_with_counts()
+        pairs = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        ref_edges, ref_counts = np.unique(pairs, axis=0, return_counts=True)
+        np.testing.assert_array_equal(edges, ref_edges)
+        np.testing.assert_array_equal(counts, ref_counts)
+        # smoothing keeps the faces, so it hands on the cached edges
+        assert smooth_borders(mesh, steps=2).edges_with_counts()[0] is edges
+
     def test_border_junctions_frozen(self):
         # bowtie: center vertex carries four border edges and must not move
         verts = np.array([
