@@ -255,7 +255,10 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
     Each iteration re-extracts the mesh, samples its surface (same seed
     every pass to keep gradient variance down), matches every target point
     to its nearest sample, and pushes the point-to-sample distances back
-    through the barycentric weights and the vertex derivative rows.
+    through the barycentric weights and the vertex derivative rows. An
+    empty extraction stops the fit with one ``(iter, "empty mesh, fit
+    stopped")`` event: with no surface there is no step, so every later
+    iteration would see the same empty mesh.
     """
     target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
     if len(target) == 0:
@@ -276,9 +279,10 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
         if not mesh.is_empty() and smooth_steps > 0:
             mesh = smooth_borders(mesh, steps=smooth_steps)
         if mesh.is_empty():
-            result.events.append((it, "empty mesh, step skipped"))
+            # nothing to descend on, and the parameters cannot change again
+            result.events.append((it, "empty mesh, fit stopped"))
             result.trace.append((it, float("nan"), float("nan"), float("nan")))
-            continue
+            break
 
         pts, _, faces, bary = sample_surface(mesh, n_surface, seed)
         d2, idx = nearest_neighbor_sq(target, pts)

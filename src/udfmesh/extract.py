@@ -13,6 +13,12 @@ and ``_mesh_cells`` triangulates and welds them. ``extract_mesh_detailed``
 runs both over every candidate cell, ``mesh_signed_grid`` (the inflation
 baseline) runs ``_mesh_cells`` on signed values, and ``pseudo_sign_cell`` and
 ``triangulate_cell`` run them on a single cell.
+
+Only candidate cells are ever signed, so extraction needs exact values only
+near the surface and gradients only at candidate corners. Without given
+samples it asks ``grid.sample_band`` for the values, which skips what a
+field's Lipschitz bound rules out, then evaluates gradients at the corners
+of the candidate cells alone.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (GridSamples, GridSpec, candidate_cells, cell_corner_sums,
-                   sample_grid)
+from .grid import (GridSamples, GridSpec, _sample_corners, candidate_cells,
+                   cell_corner_sums, sample_band)
 from .mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE,
                         EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
 from .mesh import TriMesh, empty_mesh
@@ -34,6 +40,16 @@ DEFAULT_CULL_FACTOR = 1.0
 SKIP_NO_ANCHOR = "no-valid-anchor"
 SKIP_NO_CROSSING = "no-crossing"
 SKIP_CULLED = "culled"
+
+# who chose the corners an extraction evaluated
+CORNERS_BOUND = "lipschitz"
+CORNERS_DENSE = "dense"
+CORNERS_GIVEN = "given"
+_CORNER_NOTES = {
+    CORNERS_BOUND: "the rest ruled out by the field's Lipschitz bound",
+    CORNERS_DENSE: "the field declares no Lipschitz bound",
+    CORNERS_GIVEN: "all given as samples",
+}
 
 _CASE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.int64)
 
@@ -55,6 +71,9 @@ class PseudoSignedCell:
 @dataclass
 class ExtractStats:
     total_cells: int = 0
+    total_corners: int = 0
+    corners_evaluated: int = 0      # values computed by this call
+    corner_source: str = ""         # one of the CORNERS_* names
     candidate_cells: int = 0
     culled_cells: int = 0
     skipped_no_anchor: int = 0
@@ -65,6 +84,8 @@ class ExtractStats:
 
     def summary(self) -> str:
         lines = [
+            f"corners: {self.corners_evaluated} of {self.total_corners} evaluated "
+            f"({_CORNER_NOTES.get(self.corner_source, self.corner_source)})",
             f"cells: {self.total_cells} total, {self.candidate_cells} candidate, "
             f"{self.culled_cells} culled",
             f"triangulated: {self.triangulated_cells}; skipped: "
@@ -181,25 +202,43 @@ def extract_mesh_detailed(field, spec: GridSpec,
                           ) -> tuple[TriMesh, ExtractStats]:
     """Full pipeline: sample, cull, pseudo-sign, triangulate, weld.
 
+    Without ``samples``, corner values come from ``sample_band``: a field
+    that declares a Lipschitz bound is evaluated only where the bound cannot
+    rule out the cull test, and every other corner reads +inf, which the
+    cull test rejects. Gradients are then evaluated only at the corners of
+    candidate cells. The output is the same as from dense ``samples``.
+
     An edge cut in one sign-assigned cell but uncut in another is counted in
     ``edge_disagreements``. Neighboring cells can disagree near borders when
     their anchors induce different sign partitions; those edges are
     reported, not repaired.
     """
-    stats = ExtractStats(total_cells=spec.n_cells)
+    stats = ExtractStats(total_cells=spec.n_cells, total_corners=spec.resolution ** 3)
     t0 = time.perf_counter()
     if samples is None:
-        samples = sample_grid(field, spec, threads=threads)
+        values, stats.corners_evaluated = sample_band(
+            field, spec, -np.inf, cull_factor * spec.cell_diagonal, threads)
+        stats.corner_source = CORNERS_DENSE if field.lipschitz is None else CORNERS_BOUND
+    else:
+        values, stats.corner_source = samples.u, CORNERS_GIVEN
     stats.timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cand = candidate_cells(samples, spec, cull_factor)
+    cand = candidate_cells(values, spec, cull_factor)
     stats.candidate_cells = len(cand)
     stats.culled_cells = stats.total_cells - len(cand)
-
     ijk = spec.cell_origin_ijk(cand)
-    s, _, has_anchor = _pseudo_sign(_gather_cell_corners(samples.u, ijk),
-                                    _gather_cell_corners(samples.g, ijk),
+    if samples is None:
+        t1 = time.perf_counter()
+        corner_ids = spec.corner_linear_index(ijk[:, None, :] + CORNER_OFFSETS)
+        needed, inverse = np.unique(corner_ids, return_inverse=True)
+        g = _sample_corners(field, spec, threads, True, needed)[1]
+        g8 = g[inverse.reshape(corner_ids.shape)]
+        stats.timings["gradients"] = time.perf_counter() - t1
+    else:
+        g8 = _gather_cell_corners(samples.g, ijk)
+
+    s, _, has_anchor = _pseudo_sign(_gather_cell_corners(values, ijk), g8,
                                     grad_norm_min)
     crossing = (s < 0).any(axis=1)
     stats.skipped_no_anchor = int((~has_anchor).sum())
@@ -207,8 +246,16 @@ def extract_mesh_detailed(field, spec: GridSpec,
     stats.triangulated_cells = int(crossing.sum())
 
     mesh, ids, cut = _mesh_cells(spec, ijk[has_anchor], s)
-    stats.edge_disagreements = int(np.isin(np.unique(ids[cut]), ids[~cut]).sum())
-    stats.timings["extract"] = time.perf_counter() - t0
+    # edges cut in some cell: mark those that are also uncut in another
+    cut_ids = np.unique(ids[cut])
+    if len(cut_ids):
+        uncut = ids[~cut]
+        pos = np.minimum(np.searchsorted(cut_ids, uncut), len(cut_ids) - 1)
+        hit = np.zeros(len(cut_ids), dtype=bool)
+        hit[pos[cut_ids[pos] == uncut]] = True
+        stats.edge_disagreements = int(hit.sum())
+    stats.timings["extract"] = (time.perf_counter() - t0
+                                - stats.timings.get("gradients", 0.0))
     return mesh, stats
 
 

@@ -11,6 +11,9 @@ plus ``eval_grad`` for value and gradient together. All of them go through
 the one method a family implements, ``_query``, which does the shared work
 (closest point, radial parts, network pass) once per call.
 
+Exact distance functions (``MeshUdf``, clamped or not, its translation and
+the analytic families) declare ``lipschitz = 1.0``; see ``UdfField``.
+
 Fields are immutable after construction and safe to query from multiple
 threads. Points where the distance is exactly zero have an undefined
 gradient; those return a zero vector.
@@ -31,9 +34,16 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
 
 
 class UdfField:
-    """Base class; subclasses implement the batched ``_query``."""
+    """Base class; subclasses implement the batched ``_query``.
+
+    ``lipschitz`` is a bound L with |u(p) - u(q)| <= L |p - q| everywhere.
+    Lattice sampling uses it to skip regions the bound proves far from the
+    surface, so declare only a true bound: one that is too small silently
+    drops surface. None, the default, means every corner is evaluated.
+    """
 
     param_dim: int = 0
+    lipschitz: float | None = None
 
     def eval(self, x) -> np.ndarray:
         pts, single = _as_points(x)
@@ -74,6 +84,7 @@ class MeshUdf(UdfField):
     """Exact Euclidean distance to a reference triangle mesh."""
 
     param_dim = 0
+    lipschitz = 1.0
 
     def __init__(self, mesh: TriMesh, d_max: float | None = None):
         self.mesh = mesh
@@ -105,6 +116,7 @@ class TranslatedPlaneUdf(UdfField):
     """Distance to the plane z = t; the single parameter is the offset t."""
 
     param_dim = 1
+    lipschitz = 1.0
 
     def __init__(self, offset: float = 0.0):
         self.offset = float(offset)
@@ -131,6 +143,7 @@ class SphereShellUdf(UdfField):
     """Distance to the origin-centered sphere of radius r; parameter is r."""
 
     param_dim = 1
+    lipschitz = 1.0
 
     def __init__(self, radius: float = 0.5):
         if radius <= 0:
@@ -166,6 +179,7 @@ class RectanglePatchUdf(UdfField):
     """
 
     param_dim = 1
+    lipschitz = 1.0
 
     def __init__(self, x_max: float = 0.5, x_min: float = -0.5,
                  y_range=(-0.5, 0.5), z0: float = 0.0):
@@ -207,6 +221,7 @@ class OpenCylinderUdf(UdfField):
     the radius."""
 
     param_dim = 1
+    lipschitz = 1.0
 
     def __init__(self, radius: float = 0.6, z_range=(-0.6, 0.6)):
         if radius <= 0:
@@ -248,6 +263,7 @@ class TranslatedMeshUdf(UdfField):
     """A mesh UDF rigidly translated by an offset vector t (3 parameters)."""
 
     param_dim = 3
+    lipschitz = 1.0
 
     def __init__(self, base: MeshUdf, offset=(0.0, 0.0, 0.0)):
         self.base = base

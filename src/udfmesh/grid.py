@@ -1,4 +1,12 @@
-"""Regular-lattice sampling of a field and candidate-cell selection."""
+"""Regular-lattice sampling of a field and candidate-cell selection.
+
+``sample_grid`` and ``sample_grid_values`` evaluate every corner.
+``sample_band`` evaluates a field coarse to fine and skips the blocks its
+Lipschitz bound proves to lie outside a band of values; extraction and
+inflation use it. Every query runs in the fixed chunks of ``_evaluate``,
+lattice corners through ``_sample_corners``, so results do not depend on
+the worker count.
+"""
 
 from __future__ import annotations
 
@@ -113,51 +121,75 @@ class GridSamples:
         return self.u.transpose(2, 1, 0).ravel()
 
 
-def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
-                    grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Values (and gradients with ``grad``) at every corner, [i, j, k] indexed.
+CHUNK = 32768                 # points per query; bounds one query's memory
+ROUNDING_SLACK = 1e-9         # relative widening of every Lipschitz radius
 
-    Corners are processed in fixed chunks; each worker writes a disjoint
-    slice, so the result is identical for any worker count. A non-finite
-    value raises ``NonFiniteFieldError`` naming the first such corner in
-    x-fastest order.
+
+def _evaluate(field: UdfField, n_pts: int, points, threads: int | None,
+              grad: bool, what: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Values (and gradients with ``grad``) at ``n_pts`` points, where
+    ``points(s, e)`` builds points s..e-1.
+
+    Points are processed in fixed chunks of ``CHUNK``; each worker writes a
+    disjoint slice, so the result is identical for any worker count. A
+    non-finite value raises ``NonFiniteFieldError`` naming the first such
+    point as ``what``.
     """
     threads = resolve_threads(threads)
-    pts = spec.corner_points()
-    n_pts = len(pts)
-    u_flat = np.empty(n_pts)
-    g_flat = np.empty((n_pts, 3)) if grad else None
-
-    chunk = 262144
-    spans = [(s, min(s + chunk, n_pts)) for s in range(0, n_pts, chunk)]
+    u = np.empty(n_pts)
+    g = np.empty((n_pts, 3)) if grad else None
+    spans = [(s, min(s + CHUNK, n_pts)) for s in range(0, n_pts, CHUNK)]
 
     # through the public queries, so a traced run bills them to the field
     def run(span):
         s, e = span
         if grad:
-            u_flat[s:e], g_flat[s:e] = field.eval_grad(pts[s:e])
+            u[s:e], g[s:e] = field.eval_grad(points(s, e))
         else:
-            u_flat[s:e] = field.eval(pts[s:e])
+            u[s:e] = field.eval(points(s, e))
 
-    if threads == 1 or len(spans) == 1:
+    if threads == 1 or len(spans) <= 1:
         for span in spans:
             run(span)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, spans))
 
-    bad = np.flatnonzero(~np.isfinite(u_flat))
+    bad = np.flatnonzero(~np.isfinite(u))
     if len(bad):
-        x, y, z = pts[bad[0]]
-        raise NonFiniteFieldError("field produced a non-finite value at corner "
+        x, y, z = points(bad[0], bad[0] + 1)[0]
+        raise NonFiniteFieldError(f"field produced a non-finite value at {what} "
                                   f"({x:.6g}, {y:.6g}, {z:.6g})")
+    return u, g
 
+
+def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
+                    grad: bool, ids: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Values (and gradients with ``grad``) at lattice corners.
+
+    Without ``ids`` every corner is evaluated and the arrays come back
+    [i, j, k] indexed. With a sorted array of x-fastest corner ids they come
+    back flat, one entry per id. Either way the corners run in fixed chunks
+    of the id list, and a non-finite value names the first such corner in
+    x-fastest order.
+    """
     n = spec.resolution
+    xs, ys, zs = (spec.axis_coords(a) for a in range(3))
+
+    def points(s, e):
+        i = np.arange(s, e) if ids is None else ids[s:e]
+        return np.column_stack([xs[i % n], ys[i // n % n], zs[i // (n * n)]])
+
+    n_pts = n ** 3 if ids is None else len(ids)
+    u, g = _evaluate(field, n_pts, points, threads, grad, "corner")
+    if ids is not None:
+        return u, g
     # flat order is x-fastest; bring it to [i, j, k] indexing
-    u = np.ascontiguousarray(u_flat.reshape(n, n, n).transpose(2, 1, 0))
+    u = np.ascontiguousarray(u.reshape(n, n, n).transpose(2, 1, 0))
     if not grad:
         return u, None
-    return u, np.ascontiguousarray(g_flat.reshape(n, n, n, 3).transpose(2, 1, 0, 3))
+    return u, np.ascontiguousarray(g.reshape(n, n, n, 3).transpose(2, 1, 0, 3))
 
 
 def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> GridSamples:
@@ -172,6 +204,65 @@ def sample_grid_values(field: UdfField, spec: GridSpec,
     return _sample_corners(field, spec, threads, grad=False)[0]
 
 
+# per-axis offsets of a block's 8 children and of the 27 corners of a
+# stride-2 block
+_CHILDREN = np.indices((2, 2, 2)).reshape(3, -1).T
+_BLOCK_CORNERS = np.indices((3, 3, 3)).reshape(3, -1).T
+
+
+def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
+                threads: int | None = None) -> tuple[np.ndarray, int]:
+    """Corner values wherever the field's bound cannot rule out the band
+    [lower, upper]; returns the [i, j, k] value array and the number of
+    corners evaluated.
+
+    A field with ``lipschitz = L`` moves by at most L per unit distance, so
+    its value u(c) at the centre of a block of s^3 cells bounds the whole
+    block to [u(c) - h, u(c) + h] with h = L (s/2) cell diagonals. Blocks
+    start at the largest power-of-two stride s <= (N-1)/4 and halve down to
+    stride 2; each level keeps only the blocks whose bound meets the band.
+    Every corner of every cell of a surviving stride-2 block gets its exact
+    value; every other corner gets a placeholder on its certified side,
+    -inf below ``lower`` and +inf above ``upper``. So any cell with a corner
+    value in the band, or with corners on both sides of it, has only exact
+    corners. A field without a bound, or a lattice too small for stride 2,
+    gets every corner evaluated, as ``sample_grid_values`` does.
+    """
+    n = spec.resolution
+    m = n - 1
+    s = 1
+    while 2 * s <= m / 4:
+        s *= 2
+    if field.lipschitz is None or s < 2:
+        return _sample_corners(field, spec, threads, grad=False)[0], n ** 3
+
+    lo, step = np.asarray(spec.bounds_min), spec.step
+    values = np.full((n, n, n), np.inf)
+    axis = np.arange(0, m, s)
+    blocks = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    while True:
+        h = field.lipschitz * (s / 2) * spec.cell_diagonal * (1 + ROUNDING_SLACK)
+        # centres of blocks running past the last cell lie outside the box;
+        # the bound still covers the part inside it
+        centres = lo + (blocks + s // 2) * step
+        u, _ = _evaluate(field, len(blocks), lambda a, b: centres[a:b], threads,
+                         False, "block centre")
+        for x, y, z in blocks[u + h < lower]:
+            values[x:x + s + 1, y:y + s + 1, z:z + s + 1] = -np.inf
+        blocks = blocks[(u + h >= lower) & (u - h <= upper)]
+        if s == 2:
+            break
+        s //= 2
+        blocks = (blocks[:, None, :] + s * _CHILDREN).reshape(-1, 3)
+        blocks = blocks[(blocks < m).all(axis=1)]
+
+    corners = (blocks[:, None, :] + _BLOCK_CORNERS).reshape(-1, 3)
+    ids = np.unique(spec.corner_linear_index(corners[(corners <= m).all(axis=1)]))
+    values[ids % n, ids // n % n, ids // (n * n)] = \
+        _sample_corners(field, spec, threads, False, ids)[0]
+    return values, len(ids)
+
+
 def cell_corner_sums(values: np.ndarray) -> np.ndarray:
     """Sum of the 8 corner values of every cell, shape (N-1, N-1, N-1)."""
     v = values
@@ -182,14 +273,21 @@ def cell_corner_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def candidate_cells(samples: GridSamples, spec: GridSpec | None = None,
+def candidate_cells(samples, spec: GridSpec | None = None,
                     cull_factor: float = 1.0) -> np.ndarray:
     """Linear indices of cells whose mean corner distance is at most
-    ``cull_factor`` cell diagonals; everything farther is skipped."""
+    ``cull_factor`` cell diagonals; everything farther is skipped.
+
+    ``samples`` is a ``GridSamples`` or an [i, j, k] array of corner values;
+    an array needs ``spec``.
+    """
     if cull_factor <= 0:
         raise ValueError("cull_factor must be positive")
-    spec = spec or samples.spec
-    means = cell_corner_sums(samples.u) / 8.0
+    if isinstance(samples, GridSamples):
+        spec, values = spec or samples.spec, samples.u
+    else:
+        values = samples
+    means = cell_corner_sums(values) / 8.0
     keep = means.transpose(2, 1, 0).ravel() <= cull_factor * spec.cell_diagonal
     return np.flatnonzero(keep)
 

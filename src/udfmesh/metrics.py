@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 from . import render
 from .extract import mesh_signed_grid
 from .fields import UdfField
-from .grid import GridSpec, sample_grid_values
+from .grid import GridSpec, sample_band
 from .mesh import TriMesh
 
 DEFAULT_EPS_FACTOR = 0.55
@@ -170,11 +170,15 @@ def inflate_mesh(field: UdfField, spec: GridSpec, eps: float | None = None,
     """Mesh the eps-isolevel of the field with signed marching cubes.
 
     Default eps is 55% of the grid step; the shell closes up (watertight)
-    once 2*eps reaches the step size.
+    once 2*eps reaches the step size. Values come from ``sample_band`` with
+    the band [eps, eps]: a field with a Lipschitz bound is evaluated only
+    near the isolevel, and corners the bound places above or below it read
+    +inf or -inf, which carry the same signs as the exact values. The mesh
+    is the same as from dense ``sample_grid_values``.
     """
     if eps is None:
         eps = DEFAULT_EPS_FACTOR * float(spec.step.max())
     if eps <= 0:
         raise ValueError("eps must be positive")
-    values = sample_grid_values(field, spec, threads=threads)
+    values, _ = sample_band(field, spec, eps, eps, threads)
     return mesh_signed_grid(values - eps, spec)

@@ -332,21 +332,25 @@ class TestFitPointCloud:
     def test_empty_extraction_logged_and_skipped(self):
         rng = np.random.default_rng(1)
         targets = rng.uniform(-0.5, 0.5, (20, 3))
-        # radius far outside the domain: nothing to extract
+        # radius far outside the domain: nothing to extract, so the fit
+        # stops at the first iteration instead of repeating the same skip
         res = fit_point_cloud(SphereShellUdf(9.0), targets, GridSpec(9),
                               iters=3, lr=0.01)
-        assert len(res.events) == 3
+        assert res.events == [(0, "empty mesh, fit stopped")]
         assert res.params[0] == 9.0
 
     def test_trace_csv_format(self):
         rng = np.random.default_rng(2)
         targets = np.column_stack([rng.uniform(-0.5, 0.5, (30, 2)),
                                    np.full(30, 0.05)])
-        res = fit_point_cloud(TranslatedPlaneUdf(0.0), targets, GridSpec(17),
+        # z = 0 is a lattice plane of GridSpec(17), whose extraction is
+        # empty; the shifted lattice gives two real iterations
+        res = fit_point_cloud(TranslatedPlaneUdf(0.0), targets, generic_spec(17),
                               iters=2, lr=0.01)
         lines = res.trace_csv().strip().splitlines()
         assert lines[0] == "iter,chamfer,reg,total"
         assert len(lines) == 3
+        assert np.isfinite([float(v) for v in ",".join(lines[1:]).split(",")]).all()
 
     def test_regularizer_shrinks_parameter(self):
         rng = np.random.default_rng(4)

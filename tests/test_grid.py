@@ -3,8 +3,12 @@ import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf,
                      RectanglePatchUdf, SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
-                     candidate_cells, dump_grid, load_grid_dump, primitives,
-                     random_mlp, sample_grid, sample_grid_values)
+                     candidate_cells, dump_grid, extract_mesh_detailed, inflate_mesh,
+                     load_grid_dump, mesh_signed_grid, primitives, random_mlp,
+                     sample_grid, sample_grid_values)
+from udfmesh.grid import CHUNK, NonFiniteFieldError, sample_band
+
+from conftest import generic_spec
 
 
 def one_field_per_family():
@@ -90,7 +94,8 @@ class TestSampleGrid:
 
     def test_thread_count_does_not_change_results(self):
         field = SphereShellUdf(0.5)
-        spec = GridSpec(17)
+        spec = GridSpec(33)                 # 35,937 corners: two chunks
+        assert spec.resolution ** 3 > CHUNK
         a = sample_grid(field, spec, threads=1)
         b = sample_grid(field, spec, threads=4)
         np.testing.assert_array_equal(a.u, b.u)
@@ -128,6 +133,124 @@ class TestSampleGrid:
         with pytest.raises(ValueError,
                            match=r"non-finite value at corner \(-1, -1, -1\)"):
             sampler(MlpUdf.from_dict(data), GridSpec(5))
+
+
+LIPSCHITZ_FAMILIES = [name for name, field in FAMILIES.items()
+                      if field.lipschitz is not None]
+EXTRACT_COUNTERS = ("total_cells", "candidate_cells", "culled_cells",
+                    "skipped_no_anchor", "skipped_no_crossing",
+                    "triangulated_cells", "edge_disagreements")
+
+
+def assert_same_mesh(a, b):
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.faces.tobytes() == b.faces.tobytes()
+
+
+class NanFarSphere(SphereShellUdf):
+    """A 1-Lipschitz sphere whose values turn NaN far from the surface."""
+
+    def _query(self, pts, grad, sens):
+        u, g, s = super()._query(pts, grad, sens)
+        return np.where(np.linalg.norm(pts, axis=1) > 0.9, np.nan, u), g, s
+
+
+class CountingSphere(SphereShellUdf):
+    """A sphere that declares no bound and counts the points it answers."""
+
+    lipschitz = None
+
+    def __init__(self, radius):
+        super().__init__(radius)
+        self.value_points = self.grad_points = 0
+
+    def _query(self, pts, grad, sens):
+        if grad:
+            self.grad_points += len(pts)
+        else:
+            self.value_points += len(pts)
+        return super()._query(pts, grad, sens)
+
+
+class TestSampleBand:
+    def test_families_declare_unit_bound(self):
+        assert LIPSCHITZ_FAMILIES == ["mesh", "mesh-dmax", "translated-mesh", "plane",
+                                      "sphere", "patch", "cylinder"]
+        assert FAMILIES["mlp"].lipschitz is None
+        assert all(FAMILIES[name].lipschitz == 1.0 for name in LIPSCHITZ_FAMILIES)
+
+    @pytest.mark.parametrize("make_spec", [GridSpec, generic_spec], ids=["dyadic", "generic"])
+    @pytest.mark.parametrize("n", [17, 33, 50])
+    @pytest.mark.parametrize("name", LIPSCHITZ_FAMILIES)
+    def test_certified_paths_match_dense(self, name, n, make_spec):
+        field, spec = FAMILIES[name], make_spec(n)
+        mesh, stats = extract_mesh_detailed(field, spec)
+        dense_mesh, dense_stats = extract_mesh_detailed(field, spec,
+                                                        samples=sample_grid(field, spec))
+        assert_same_mesh(mesh, dense_mesh)
+        for key in EXTRACT_COUNTERS:
+            assert getattr(stats, key) == getattr(dense_stats, key), key
+        assert stats.corner_source == "lipschitz"
+        assert stats.corners_evaluated <= n ** 3
+
+        # the default eps, and one wide enough that blocks are certified
+        # below it (their corners read -inf)
+        dense_values = sample_grid_values(field, spec)
+        for eps in (0.55 * float(spec.step.max()), 0.2):
+            dense_shell = mesh_signed_grid(dense_values - eps, spec)
+            assert_same_mesh(inflate_mesh(field, spec, eps), dense_shell)
+
+    def test_exact_wherever_band_is_not_ruled_out(self):
+        field, spec = SphereShellUdf(0.5), generic_spec(33)
+        exact = sample_grid_values(field, spec)
+        for lower, upper in [(-np.inf, spec.cell_diagonal), (0.02, 0.02), (0.3, 0.4)]:
+            values, evaluated = sample_band(field, spec, lower, upper)
+            known = np.isfinite(values)
+            assert known.sum() == evaluated < spec.resolution ** 3
+            assert_bitwise(values[known], exact[known])
+            assert (exact[values == np.inf] > upper).all()
+            assert (exact[values == -np.inf] < lower).all()
+            # a wide band below the lattice spacing certifies corners below it
+            if lower == 0.3:
+                assert (values == -np.inf).any()
+
+    def test_thread_count_does_not_change_certified_values(self):
+        spec = generic_spec(129)
+        a, evaluated = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01, threads=1)
+        b, _ = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01, threads=4)
+        assert evaluated > CHUNK
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("run", [
+        lambda f, spec: extract_mesh_detailed(f, spec),
+        lambda f, spec: inflate_mesh(f, spec),
+    ], ids=["extract", "inflate"])
+    def test_nan_far_from_surface_raises(self, run):
+        with pytest.raises(NonFiniteFieldError, match="non-finite value at block centre"):
+            run(NanFarSphere(0.5), GridSpec(33))
+
+    @pytest.mark.parametrize("n", [9, 33])
+    def test_field_without_bound_evaluates_every_corner(self, n):
+        spec = generic_spec(n)
+        field = CountingSphere(0.5)
+        mesh, stats = extract_mesh_detailed(field, spec)
+        assert field.value_points == stats.corners_evaluated == n ** 3
+        assert stats.corner_source == "dense"
+        # gradients only at the corners of candidate cells
+        assert 0 < field.grad_points < n ** 3
+        dense_mesh, _ = extract_mesh_detailed(field, spec, samples=sample_grid(field, spec))
+        assert_same_mesh(mesh, dense_mesh)
+
+        field.value_points = 0
+        inflate_mesh(field, spec)
+        assert field.value_points == n ** 3
+
+    def test_mlp_evaluates_every_corner(self):
+        spec = GridSpec(17)
+        _, stats = extract_mesh_detailed(FAMILIES["mlp"], spec)
+        assert stats.corners_evaluated == 17 ** 3
+        assert stats.corner_source == "dense"
+        assert "no Lipschitz bound" in stats.summary()
 
 
 class TestCandidateCells:
