@@ -41,6 +41,6 @@ print(f"gradcheck along z[0]: passed={report.passed}, "
       f"{report.n_checked} vertices, max rate error {report.max_error:.2e}")
 
 # raw corner distances can be exported for offline runs
-samples = um.sample_grid(field, spec)
-paths = um.dump_grid(samples, "wavy_grid")
+values = um.sample_grid_values(field, spec)
+paths = um.dump_grid(values, spec, "wavy_grid")
 print("dumped corner distances to", " and ".join(paths))

@@ -10,7 +10,7 @@ consistency.
 from .diffgeom import (VertexJacobian, assemble_jacobian,
                        border_vertex_derivative, directional_gradcheck,
                        fit_point_cloud, interior_vertex_derivative,
-                       outward_vectors, vertex_normal, vertex_normals)
+                       outward_vectors, vertex_normals)
 from .extract import (ExtractStats, PseudoSignedCell, extract_mesh,
                       extract_mesh_detailed, mesh_signed_grid,
                       pseudo_sign_cell, triangulate_cell)
@@ -44,6 +44,6 @@ __all__ = [
     "primitives", "pseudo_sign_cell", "random_mlp", "read_mesh", "read_obj",
     "read_ply", "read_xyz", "remove_spurious_facets", "sample_grid",
     "sample_grid_values", "sample_surface", "smooth_borders",
-    "triangulate_cell", "vertex_normal", "vertex_normals", "write_mesh",
-    "write_obj", "write_ply", "write_xyz",
+    "triangulate_cell", "vertex_normals", "write_mesh", "write_obj",
+    "write_ply", "write_xyz",
 ]

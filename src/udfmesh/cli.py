@@ -19,7 +19,7 @@ import numpy as np
 from . import diffgeom, io, metrics
 from .extract import extract_mesh_detailed
 from .fields import MeshUdf, UdfField, parametric_field
-from .grid import GridSpec, NonFiniteFieldError, dump_grid, sample_grid
+from .grid import GridSpec, NonFiniteFieldError, dump_grid, sample_grid_values
 from .mlp import MlpUdf, WeightFileError
 from .postprocess import remove_spurious_facets, smooth_borders
 
@@ -171,10 +171,7 @@ def cmd_metrics(args) -> int:
 def _dump_normal_maps(pred, gt, out_dir):
     from . import render
     os.makedirs(out_dir, exist_ok=True)
-    lo = np.minimum(pred.bounds()[0], gt.bounds()[0])
-    hi = np.maximum(pred.bounds()[1], gt.bounds()[1])
-    cams = render.cuboid_cameras(lo, hi)
-    target = 0.5 * (pred.centroid() + gt.centroid())
+    cams, target = render.scene_cameras(pred, gt)
     for k, eye in enumerate(cams):
         for name, mesh in (("pred", pred), ("gt", gt)):
             sil, nrm = render.render_view(mesh, eye, target)
@@ -251,9 +248,7 @@ def cmd_gradcheck(args) -> int:
                 worst_overall = (report.max_error, report.worst, eps)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("vertex,predicted,measured,error,tolerance,kind\n")
-            for rec in all_records:
-                fh.write("%d,%.10g,%.10g,%.10g,%.10g,%s\n" % rec)
+            fh.write(diffgeom.gradcheck_csv(all_records))
     if passed:
         print(f"gradcheck passed ({len(all_records)} vertex checks)")
         return EXIT_OK
@@ -266,8 +261,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_dump_grid(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
-    samples = sample_grid(field, spec, threads=args.threads)
-    data_path, meta_path = dump_grid(samples, args.out)
+    values = sample_grid_values(field, spec, threads=args.threads)
+    data_path, meta_path = dump_grid(values, spec, args.out)
     print(f"wrote {data_path} and {meta_path}")
     return EXIT_OK
 

@@ -39,31 +39,25 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
 
     Faces are accumulated area-weighted, each one flipped if needed to agree
     with the running sum, so opposite-wound neighbors reinforce instead of
-    cancelling. Vertices without faces get a zero normal.
+    cancelling. Every vertex visits its faces in face order; step k adds
+    the k-th face of all vertices that have one. Vertices without faces get
+    a zero normal.
     """
     fn = mesh.face_normals(normalize=False)  # area-weighted (2x area)
-    out = np.zeros((mesh.n_vertices, 3))
-    order = np.argsort(mesh.faces.ravel(), kind="stable")
-    flat_faces = mesh.faces.ravel()[order]
-    flat_fidx = np.repeat(np.arange(mesh.n_faces), 3)[order]
-    starts = np.searchsorted(flat_faces, np.arange(mesh.n_vertices))
-    ends = np.searchsorted(flat_faces, np.arange(mesh.n_vertices), side="right")
-    for v in range(mesh.n_vertices):
-        acc = np.zeros(3)
-        for fi in flat_fidx[starts[v]:ends[v]]:
-            n = fn[fi]
-            acc += -n if acc @ n < 0 else n
-        norm = np.linalg.norm(acc)
-        if norm < 1e-300 and ends[v] > starts[v]:
-            acc = fn[flat_fidx[starts[v]]]
-            norm = np.linalg.norm(acc)
-        if norm > 0:
-            out[v] = acc / norm
-    return out
-
-
-def vertex_normal(mesh: TriMesh, v: int) -> np.ndarray:
-    return vertex_normals(mesh)[v]
+    fidx, start = mesh.vertex_faces()
+    valence = np.diff(start)
+    acc = np.zeros((mesh.n_vertices, 3))
+    for k in range(valence.max(initial=0)):
+        v = np.flatnonzero(valence > k)
+        n = fn[fidx[start[v] + k]]
+        acc[v] += np.where((np.vecdot(acc[v], n) < 0)[:, None], -n, n)
+    norm = np.sqrt(np.vecdot(acc, acc))
+    # faces that cancel exactly: fall back to the first face's normal
+    lost = np.flatnonzero((norm < 1e-300) & (valence > 0))
+    acc[lost] = fn[fidx[start[lost]]]
+    norm[lost] = np.sqrt(np.vecdot(acc[lost], acc[lost]))
+    return np.divide(acc, norm[:, None], out=np.zeros_like(acc),
+                     where=norm[:, None] > 0)
 
 
 def outward_vectors(mesh: TriMesh, field: UdfField,
@@ -79,61 +73,34 @@ def outward_vectors(mesh: TriMesh, field: UdfField,
     unresolved vertices (vanishing cross product) should be treated as
     interior.
     """
-    border = mesh.border_edges()
+    count, nbrs, face = mesh.border_table()
     o = np.zeros((mesh.n_vertices, 3))
     resolved = np.zeros(mesh.n_vertices, dtype=bool)
-    if len(border) == 0:
+    if not count.any():
         return o, resolved
 
-    # border edge -> its unique face
-    edge_face = {}
-    for fi, tri in enumerate(mesh.faces):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edge_face.setdefault(key, fi)
-
-    counts = np.bincount(border.ravel(), minlength=mesh.n_vertices)
-    junctions = int((counts > 2).sum())
+    junctions = int((count > 2).sum())
     if junctions:
         warnings.warn(f"{junctions} border vertices join 3+ border edges; "
                       "using their first border edge for the outward vector")
 
-    neighbors: dict[int, list[int]] = {}
-    first_edge = {}
-    for a, b in border:
-        a, b = int(a), int(b)
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
-        first_edge.setdefault(a, (a, b))
-        first_edge.setdefault(b, (b, a))
+    verts = np.flatnonzero(count)
+    chord = (count[verts] == 2)[:, None]
+    first, second = nbrs[verts, 0], nbrs[verts, 1]
+    p = mesh.vertices
+    e = np.where(chord, p[second] - p[first], p[first] - p[verts])
+    cross = np.cross(mesh.face_normals()[face[verts]], e)
+    norm = np.sqrt(np.vecdot(cross, cross))
+    keep = ~(norm < 1e-9)           # a NaN direction stays resolved
+    verts = verts[keep]
+    d = cross[keep] / norm[keep, None]
 
-    fn = mesh.face_normals()
-    verts = list(first_edge)
-    dirs = np.zeros((len(verts), 3))
-    keep = np.zeros(len(verts), dtype=bool)
-    for row, v in enumerate(verts):
-        a, b = first_edge[v]
-        n = fn[edge_face[(min(a, b), max(a, b))]]
-        nbrs = neighbors[v]
-        if len(nbrs) == 2:
-            e = mesh.vertices[nbrs[1]] - mesh.vertices[nbrs[0]]
-        else:
-            e = mesh.vertices[b] - mesh.vertices[a]
-        cross = np.cross(n, e)
-        norm = np.linalg.norm(cross)
-        if norm < 1e-9:
-            continue
-        dirs[row] = cross / norm
-        keep[row] = True
-
-    vidx = np.array(verts, dtype=np.int64)
-    pos = mesh.vertices[vidx[keep]]
-    d = dirs[keep]
+    pos = p[verts]
     u_plus = field.eval(pos + alpha * d)
     u_minus = field.eval(pos - alpha * d)
     sign = np.where(u_plus >= u_minus, 1.0, -1.0)
-    o[vidx[keep]] = d * sign[:, None]
-    resolved[vidx[keep]] = True
+    o[verts] = d * sign[:, None]
+    resolved[verts] = True
     return o, resolved
 
 
@@ -339,10 +306,15 @@ class GradcheckReport:
     records: list = dc_field(default_factory=list)
 
     def csv(self) -> str:
-        lines = ["vertex,predicted,measured,error,tolerance,kind"]
-        for rec in self.records:
-            lines.append("%d,%.10g,%.10g,%.10g,%.10g,%s" % rec)
-        return "\n".join(lines) + "\n"
+        return gradcheck_csv(self.records)
+
+
+def gradcheck_csv(records) -> str:
+    """Per-vertex check records as CSV, one row each under a header."""
+    lines = ["vertex,predicted,measured,error,tolerance,kind"]
+    for rec in records:
+        lines.append("%d,%.10g,%.10g,%.10g,%.10g,%s" % rec)
+    return "\n".join(lines) + "\n"
 
 
 def directional_gradcheck(field: UdfField, spec: GridSpec, delta: np.ndarray,

@@ -116,10 +116,6 @@ class GridSamples:
         assert self.u.shape == (n, n, n)
         assert self.g.shape == (n, n, n, 3)
 
-    def corner_values_flat(self) -> np.ndarray:
-        """u flattened x-fastest (the dump-file order)."""
-        return self.u.transpose(2, 1, 0).ravel()
-
 
 CHUNK = 32768                 # points per query; bounds one query's memory
 ROUNDING_SLACK = 1e-9         # relative widening of every Lipschitz radius
@@ -294,17 +290,18 @@ def candidate_cells(samples, spec: GridSpec | None = None,
 
 # -- raw grid export ----------------------------------------------------------
 
-def dump_grid(samples: GridSamples, base_path: str) -> tuple[str, str]:
-    """Write corner distances as little-endian float32 (x fastest) plus a
-    JSON sidecar describing the lattice. Returns the two paths written."""
+def dump_grid(values: np.ndarray, spec: GridSpec, base_path: str) -> tuple[str, str]:
+    """Write (N, N, N) corner distances as little-endian float32 (x fastest)
+    plus a JSON sidecar describing the lattice; ``load_grid_dump`` reads
+    them back. Returns the two paths written."""
     data_path = base_path + ".f32"
     meta_path = base_path + ".json"
-    samples.corner_values_flat().astype("<f4").tofile(data_path)
+    np.asarray(values).transpose(2, 1, 0).ravel().astype("<f4").tofile(data_path)
     with open(meta_path, "w") as fh:
         json.dump({
-            "resolution": samples.spec.resolution,
-            "bounds_min": list(samples.spec.bounds_min),
-            "bounds_max": list(samples.spec.bounds_max),
+            "resolution": spec.resolution,
+            "bounds_min": list(spec.bounds_min),
+            "bounds_max": list(spec.bounds_max),
             "dtype": "<f4",
             "order": "x-fastest",
         }, fh, indent=2)

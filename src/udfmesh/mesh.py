@@ -11,9 +11,10 @@ import numpy as np
 class TriMesh:
     """Triangle mesh as (V, 3) float vertices and (F, 3) int faces.
 
-    Edge/border adjacency is derived lazily and cached; mutate vertices or
-    faces only through ``replace``-style copies or call ``invalidate`` after
-    in-place edits.
+    Connectivity (edges, vertex->face and border tables) is derived lazily
+    from the faces and cached; mutate faces only through copies or call
+    ``invalidate`` after in-place edits. The tables never read vertex
+    positions, so a copy that only moves vertices may share the cache.
     """
 
     vertices: np.ndarray
@@ -47,19 +48,61 @@ class TriMesh:
     def edges_with_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges (E, 2) and their incident-face counts."""
         if "edges" not in self._cache:
-            if self.faces.size == 0:
-                self._cache["edges"] = (np.zeros((0, 2), np.int64), np.zeros(0, np.int64))
-            else:
-                raw = np.concatenate([self.faces[:, [0, 1]],
-                                      self.faces[:, [1, 2]],
-                                      self.faces[:, [2, 0]]])
-                raw = np.sort(raw, axis=1)
-                # one integer key per (low, high) pair sorts like the pair
-                nv = self.n_vertices
-                keys, counts = np.unique(raw[:, 0] * nv + raw[:, 1], return_counts=True)
-                edges = np.stack(np.divmod(keys, nv), axis=1)
-                self._cache["edges"] = (edges, counts)
+            raw = np.concatenate([self.faces[:, [0, 1]],
+                                  self.faces[:, [1, 2]],
+                                  self.faces[:, [2, 0]]])
+            raw = np.sort(raw, axis=1)
+            # one integer key per (low, high) pair sorts like the pair
+            nv = max(self.n_vertices, 1)
+            keys, edge_of, counts = np.unique(raw[:, 0] * nv + raw[:, 1],
+                                              return_inverse=True,
+                                              return_counts=True)
+            edges = np.stack(np.divmod(keys, nv), axis=1)
+            self._cache["edges"] = (edges, counts)
+            self._cache["edge_of"] = edge_of
         return self._cache["edges"]
+
+    def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Faces around every vertex, in face order: vertex v touches faces
+        ``fidx[start[v]:start[v + 1]]`` (a face listing v twice appears twice)."""
+        if "vertex_faces" not in self._cache:
+            flat = self.faces.ravel()
+            order = np.argsort(flat, kind="stable")
+            start = np.searchsorted(flat[order], np.arange(self.n_vertices + 1))
+            self._cache["vertex_faces"] = (order // 3, start)
+        return self._cache["vertex_faces"]
+
+    def border_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-vertex border adjacency, in border-edge order.
+
+        Returns (count (V,), nbrs (V, 2), face (V,)): the number of border
+        edges at each vertex, the far ends of its first two border edges,
+        and the one face of its first border edge; -1 where absent.
+        """
+        if "border" not in self._cache:
+            edges, counts = self.edges_with_counts()
+            # face edges run edge (0, 1) of every face, then (1, 2), then
+            # (2, 0); a border edge has exactly one, so one face writes it
+            edge_face = np.empty(len(edges), dtype=np.int64)
+            edge_face[self._cache["edge_of"]] = (np.arange(3 * self.n_faces)
+                                                 % max(self.n_faces, 1))
+            border = edges[counts == 1]
+            border_face = edge_face[counts == 1]
+            # each border edge seen from both ends, grouped by vertex
+            src = border.ravel()
+            dst = border[:, ::-1].ravel()
+            order = np.argsort(src, kind="stable")
+            count = np.bincount(src, minlength=self.n_vertices)
+            first = np.cumsum(count) - count
+            nbrs = np.full((self.n_vertices, 2), -1, dtype=np.int64)
+            for k in range(2):
+                has = count > k
+                nbrs[has, k] = dst[order[first[has] + k]]
+            face = np.full(self.n_vertices, -1, dtype=np.int64)
+            has = count > 0
+            face[has] = border_face[order[first[has]] // 2]
+            self._cache["border"] = (count, nbrs, face)
+        return self._cache["border"]
 
     def border_edges(self) -> np.ndarray:
         """Edges incident to exactly one face, shape (B, 2)."""
@@ -67,11 +110,7 @@ class TriMesh:
         return edges[counts == 1]
 
     def border_vertex_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        be = self.border_edges()
-        if be.size:
-            mask[be.ravel()] = True
-        return mask
+        return self.border_table()[0] > 0
 
     def is_watertight(self) -> bool:
         return len(self.border_edges()) == 0 and self.n_faces > 0

@@ -119,10 +119,7 @@ def image_consistency(pred: TriMesh, gt: TriMesh, size: int = render.IMAGE_SIZE)
     """Silhouette IoU times normal-map cosine over 8 views, in percent."""
     if pred.is_empty() or gt.is_empty():
         raise ValueError("image consistency requires non-empty meshes")
-    lo = np.minimum(pred.bounds()[0], gt.bounds()[0])
-    hi = np.maximum(pred.bounds()[1], gt.bounds()[1])
-    cams = render.cuboid_cameras(lo, hi)
-    target = 0.5 * (pred.centroid() + gt.centroid())
+    cams, target = render.scene_cameras(pred, gt)
 
     scores = []
     for k, eye in enumerate(cams):

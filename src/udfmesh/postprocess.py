@@ -34,28 +34,14 @@ def smooth_borders(mesh: TriMesh, steps: int = 5, weight: float = 0.5) -> TriMes
     (interior, and border junctions with three or more border edges) stay
     put. Connectivity never changes.
     """
-    border = mesh.border_edges()
-    if len(border) == 0 or steps <= 0:
+    count, nbrs, _ = mesh.border_table()
+    idx = np.flatnonzero(count == 2)
+    if steps <= 0 or len(idx) == 0:
         return mesh.copy()
-
-    counts = np.bincount(border.ravel(), minlength=mesh.n_vertices)
-    movable = counts == 2
-    if not movable.any():
-        return mesh.copy()
-
-    # neighbor table for the movable vertices (exactly two entries each)
-    nbr = np.full((mesh.n_vertices, 2), -1, dtype=np.int64)
-    slot = np.zeros(mesh.n_vertices, dtype=np.int64)
-    for a, b in border:
-        for v, w in ((a, b), (b, a)):
-            if movable[v]:
-                nbr[v, slot[v]] = w
-                slot[v] += 1
 
     verts = mesh.vertices.copy()
-    idx = np.flatnonzero(movable)
     for _ in range(steps):
-        mid = 0.5 * (verts[nbr[idx, 0]] + verts[nbr[idx, 1]])
+        mid = 0.5 * (verts[nbrs[idx, 0]] + verts[nbrs[idx, 1]])
         verts[idx] += weight * (mid - verts[idx])
     # same faces, so the connectivity cache carries over
     return TriMesh(verts, mesh.faces.copy(), _cache=dict(mesh._cache))

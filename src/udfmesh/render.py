@@ -32,6 +32,14 @@ def cuboid_cameras(bounds_min, bounds_max, scale: float = 1.5) -> np.ndarray:
     return center + corners * half
 
 
+def scene_cameras(a: TriMesh, b: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """The eight cameras around the joint bounds of two meshes, and the
+    look-at target between their centroids."""
+    lo = np.minimum(a.bounds()[0], b.bounds()[0])
+    hi = np.maximum(a.bounds()[1], b.bounds()[1])
+    return cuboid_cameras(lo, hi), 0.5 * (a.centroid() + b.centroid())
+
+
 def look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Rows are the camera frame: right, up, forward."""
     forward = target - eye

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written plain and separate from the library
 paths it validates: a per-cell signed marching cubes with its own
-interpolation and coordinate-keyed welding, an O(n^2) Chamfer scan, and a
-loop-based MLP forward pass. Only the published case tables are shared,
+interpolation and coordinate-keyed welding, an O(n^2) Chamfer scan, a
+loop-based MLP forward pass, and per-vertex / per-edge loop versions of
+vertex normals, outward border vectors and border smoothing. Only the published case tables are shared,
 since they are fixed reference data.
 """
 
@@ -116,3 +117,100 @@ def vertex_sets_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-6) -> bool:
         return True
     return (cKDTree(b).query(a)[0].max() < tol
             and cKDTree(a).query(b)[0].max() < tol)
+
+
+def loop_vertex_normals(mesh) -> np.ndarray:
+    """Vertex normals by a loop over each vertex's faces in face order, each
+    face flipped to agree with the running area-weighted sum."""
+    fn = mesh.face_normals(normalize=False)
+    out = np.zeros((mesh.n_vertices, 3))
+    order = np.argsort(mesh.faces.ravel(), kind="stable")
+    flat_faces = mesh.faces.ravel()[order]
+    flat_fidx = np.repeat(np.arange(mesh.n_faces), 3)[order]
+    starts = np.searchsorted(flat_faces, np.arange(mesh.n_vertices))
+    ends = np.searchsorted(flat_faces, np.arange(mesh.n_vertices), side="right")
+    for v in range(mesh.n_vertices):
+        acc = np.zeros(3)
+        for fi in flat_fidx[starts[v]:ends[v]]:
+            n = fn[fi]
+            acc += -n if acc @ n < 0 else n
+        norm = np.linalg.norm(acc)
+        if norm < 1e-300 and ends[v] > starts[v]:
+            acc = fn[flat_fidx[starts[v]]]
+            norm = np.linalg.norm(acc)
+        if norm > 0:
+            out[v] = acc / norm
+    return out
+
+
+def loop_outward_vectors(mesh, field, alpha: float):
+    """Outward border vectors from dicts built edge by edge: the face of the
+    first border edge crossed with the neighbour chord (two border edges) or
+    the first border edge, signed toward increasing field value."""
+    border = mesh.border_edges()
+    o = np.zeros((mesh.n_vertices, 3))
+    resolved = np.zeros(mesh.n_vertices, dtype=bool)
+    if len(border) == 0:
+        return o, resolved
+    edge_face = {}
+    for fi, tri in enumerate(mesh.faces):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edge_face.setdefault((min(a, b), max(a, b)), fi)
+    neighbors: dict = {}
+    first_edge = {}
+    for a, b in border:
+        a, b = int(a), int(b)
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+        first_edge.setdefault(a, (a, b))
+        first_edge.setdefault(b, (b, a))
+    fn = mesh.face_normals()
+    verts = list(first_edge)
+    dirs = np.zeros((len(verts), 3))
+    keep = np.zeros(len(verts), dtype=bool)
+    for row, v in enumerate(verts):
+        a, b = first_edge[v]
+        n = fn[edge_face[(min(a, b), max(a, b))]]
+        nbrs = neighbors[v]
+        if len(nbrs) == 2:
+            e = mesh.vertices[nbrs[1]] - mesh.vertices[nbrs[0]]
+        else:
+            e = mesh.vertices[b] - mesh.vertices[a]
+        cross = np.cross(n, e)
+        norm = np.linalg.norm(cross)
+        if norm < 1e-9:
+            continue
+        dirs[row] = cross / norm
+        keep[row] = True
+    vidx = np.array(verts, dtype=np.int64)
+    pos = mesh.vertices[vidx[keep]]
+    d = dirs[keep]
+    u_plus = field.eval(pos + alpha * d)
+    u_minus = field.eval(pos - alpha * d)
+    sign = np.where(u_plus >= u_minus, 1.0, -1.0)
+    o[vidx[keep]] = d * sign[:, None]
+    resolved[vidx[keep]] = True
+    return o, resolved
+
+
+def loop_smooth_borders(mesh, steps: int, weight: float) -> np.ndarray:
+    """Smoothed vertex positions from a neighbour table filled edge by edge;
+    only vertices with exactly two border edges move."""
+    border = mesh.border_edges()
+    verts = mesh.vertices.copy()
+    counts = np.bincount(border.ravel(), minlength=mesh.n_vertices)
+    movable = counts == 2
+    if len(border) == 0 or steps <= 0 or not movable.any():
+        return verts
+    nbr = np.full((mesh.n_vertices, 2), -1, dtype=np.int64)
+    slot = np.zeros(mesh.n_vertices, dtype=np.int64)
+    for a, b in border:
+        for v, w in ((a, b), (b, a)):
+            if movable[v]:
+                nbr[v, slot[v]] = w
+                slot[v] += 1
+    idx = np.flatnonzero(movable)
+    for _ in range(steps):
+        mid = 0.5 * (verts[nbr[idx, 0]] + verts[nbr[idx, 1]])
+        verts[idx] += weight * (mid - verts[idx])
+    return verts

@@ -5,8 +5,7 @@ from udfmesh import (GridSpec, MeshUdf, MlpUdf, RectanglePatchUdf,
                      SphereShellUdf, TranslatedPlaneUdf, TriMesh, UdfField,
                      assemble_jacobian, border_vertex_derivative,
                      directional_gradcheck, extract_mesh, fit_point_cloud,
-                     interior_vertex_derivative, primitives, vertex_normal,
-                     vertex_normals)
+                     interior_vertex_derivative, primitives, vertex_normals)
 from udfmesh.diffgeom import outward_vectors
 from udfmesh.mlp import encoded_dim
 
@@ -62,7 +61,7 @@ class TestVertexNormals:
     def test_single_face_vertex_uses_face_normal(self):
         tri = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]]),
                       np.array([[0, 1, 2]]))
-        np.testing.assert_allclose(np.abs(vertex_normal(tri, 0)), (0, 0, 1))
+        np.testing.assert_allclose(np.abs(vertex_normals(tri)[0]), (0, 0, 1))
 
     def test_cylinder_vertex_normals_radial(self):
         mesh = extract_mesh(um_cyl := __import__("udfmesh").OpenCylinderUdf(0.6),

@@ -322,7 +322,7 @@ class TestGridDump:
         spec = GridSpec(9, (-0.9, -1.0, -1.1), (1.1, 1.0, 0.9))
         samples = sample_grid(field, spec)
         base = str(tmp_path / "grid")
-        data_path, meta_path = dump_grid(samples, base)
+        data_path, meta_path = dump_grid(samples.u, spec, base)
         values, spec_back = load_grid_dump(base)
         assert spec_back == spec
         np.testing.assert_allclose(values, samples.u, atol=1e-6)
@@ -332,7 +332,7 @@ class TestGridDump:
         spec = GridSpec(3, (0, 0, 0), (2, 2, 2))
         samples = sample_grid(field, spec)
         base = str(tmp_path / "grid")
-        dump_grid(samples, base)
+        dump_grid(samples.u, spec, base)
         raw = np.fromfile(base + ".f32", dtype="<f4")
         assert raw.size == 27
         # first 9 values cover the z=0 sheet: distance 0 everywhere
