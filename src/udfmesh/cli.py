@@ -20,7 +20,7 @@ from . import diffgeom, io, metrics
 from .extract import extract_mesh_detailed
 from .fields import MeshUdf, UdfField, parametric_field
 from .grid import GridSpec, NonFiniteFieldError, dump_grid, sample_grid_values
-from .mlp import MlpUdf, WeightFileError
+from .mlp import MlpUdf
 from .postprocess import remove_spurious_facets, smooth_borders
 
 EXIT_OK = 0
@@ -79,19 +79,30 @@ def _build_field(args) -> UdfField:
             raise CliError(str(exc))
         return MeshUdf(ref, d_max=getattr(args, "clamp", None))
     if args.weights:
-        if not os.path.exists(args.weights):
-            raise CliError(f"weight file not found: {args.weights}")
-        try:
-            net = MlpUdf.from_file(args.weights)
-        except (WeightFileError, json.JSONDecodeError, OSError) as exc:
-            raise CliError(f"{args.weights}: {exc}")
-        if params is not None:
-            net = net.with_latent(params)
-        return net
+        return _load_weights(args.weights, params)
+    return _load_family(args.family, params if params is not None else [])
+
+
+def _load_weights(path, latent) -> MlpUdf:
+    if not os.path.exists(path):
+        raise CliError(f"weight file not found: {path}")
     try:
-        return parametric_field(args.family, params if params is not None else [])
+        return MlpUdf.from_file(path, latent)
+    except (ValueError, OSError) as exc:
+        raise CliError(f"{path}: {exc}")
+
+
+def _load_family(name, params) -> UdfField:
+    try:
+        return parametric_field(name, params)
     except (ValueError, IndexError) as exc:
         raise CliError(str(exc))
+
+
+def _positive(value, flag):
+    if not value > 0:
+        raise CliError(f"{flag} must be positive, got {value:g}")
+    return value
 
 
 def _build_spec(args) -> GridSpec:
@@ -108,10 +119,12 @@ def _build_spec(args) -> GridSpec:
 def cmd_mesh(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
+    cull_factor = _positive(args.cull_factor, "--cull-factor")
+    prune_tol = (0.5 * spec.cell_diagonal if args.prune_tol is None
+                 else _positive(args.prune_tol, "--prune-tol"))
     t0 = time.perf_counter()
-    mesh, stats = extract_mesh_detailed(field, spec, args.cull_factor,
+    mesh, stats = extract_mesh_detailed(field, spec, cull_factor,
                                         args.grad_norm_min, threads=args.threads)
-    prune_tol = args.prune_tol if args.prune_tol else 0.5 * spec.cell_diagonal
     if not args.no_prune and not mesh.is_empty():
         mesh = remove_spurious_facets(mesh, field, prune_tol)
     if not args.no_smooth and not mesh.is_empty():
@@ -136,7 +149,8 @@ def cmd_mesh(args) -> int:
 def cmd_mesh_inflate(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
-    eps = args.eps if args.eps else args.eps_factor * float(spec.step.max())
+    eps = (_positive(args.eps, "--eps") if args.eps is not None
+           else _positive(args.eps_factor, "--eps-factor") * float(spec.step.max()))
     t0 = time.perf_counter()
     mesh = metrics.inflate_mesh(field, spec, eps, threads=args.threads)
     total = time.perf_counter() - t0
@@ -156,6 +170,7 @@ def cmd_metrics(args) -> int:
         gt = io.read_mesh(args.gt)
     except (io.MeshFormatError, OSError) as exc:
         raise CliError(str(exc))
+    _positive(args.samples, "--samples")
     report = metrics.evaluate_pair(pred, gt, args.samples, args.seed)
     if args.dump_normal_maps:
         _dump_normal_maps(pred, gt, args.dump_normal_maps)
@@ -180,22 +195,19 @@ def _dump_normal_maps(pred, gt, out_dir):
 
 
 def _load_field_descriptor(path) -> UdfField:
+    """Field from a JSON descriptor; a weight path is relative to it."""
     if not os.path.exists(path):
         raise CliError(f"field descriptor not found: {path}")
-    with open(path) as fh:
-        data = json.load(fh)
-    if "weights" in data:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (ValueError, OSError) as exc:
+        raise CliError(f"{path}: {exc}")
+    if isinstance(data, dict) and "weights" in data:
         base = os.path.dirname(os.path.abspath(path))
-        wpath = os.path.join(base, data["weights"])
-        net = MlpUdf.from_file(wpath)
-        if "latent" in data:
-            net = net.with_latent(data["latent"])
-        return net
-    if "family" in data:
-        try:
-            return parametric_field(data["family"], data.get("params", []))
-        except (ValueError, IndexError) as exc:
-            raise CliError(f"{path}: {exc}")
+        return _load_weights(os.path.join(base, data["weights"]), data.get("latent"))
+    if isinstance(data, dict) and "family" in data:
+        return _load_family(data["family"], data.get("params", []))
     raise CliError(f"{path}: descriptor needs a 'family' or 'weights' key")
 
 
@@ -228,6 +240,8 @@ def cmd_fit_pc(args) -> int:
 def cmd_gradcheck(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
+    for eps in args.eps:
+        _positive(eps, "--eps")
     if field.param_dim == 0:
         print("field has no parameters; nothing to check")
         return EXIT_OK
@@ -296,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     p.add_argument("--eps", type=float, default=None,
                    help="isolevel offset (overrides --eps-factor)")
-    p.add_argument("--eps-factor", type=float, default=0.55,
+    p.add_argument("--eps-factor", type=float, default=metrics.DEFAULT_EPS_FACTOR,
                    help="eps as a fraction of the grid step")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mesh_inflate)

@@ -10,15 +10,15 @@ gradient are skipped rather than guessed.
 
 One batched kernel does this work: ``_pseudo_sign`` signs a batch of cells
 and ``_mesh_cells`` triangulates and welds them. ``extract_mesh_detailed``
-runs both over every candidate cell, ``mesh_signed_grid`` (the inflation
+runs both over every candidate cell, ``_mesh_signed_cells`` (the inflation
 baseline) runs ``_mesh_cells`` on signed values, and ``pseudo_sign_cell`` and
 ``triangulate_cell`` run them on a single cell.
 
-Only candidate cells are ever signed, so extraction needs exact values only
-near the surface and gradients only at candidate corners. Without given
-samples it asks ``grid.sample_band`` for the values, which skips what a
-field's Lipschitz bound rules out, then evaluates gradients at the corners
-of the candidate cells alone.
+Every path reads one format, a sorted cell list with the 8 exact corner
+values of each cell, from ``grid.sample_band`` (which skips what a field's
+Lipschitz bound rules out) or, for given samples, ``grid._lattice_band``.
+Only candidate cells are signed, and without given samples gradients are
+evaluated at the corners of the candidate cells alone.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (GridSamples, GridSpec, _sample_corners, candidate_cells,
-                   cell_corner_sums, sample_band)
+from .grid import (GridSamples, GridSpec, _cell_corners, _cull, _lattice_band,
+                   _sample_corners, sample_band)
 from .mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE,
                         EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
 from .mesh import TriMesh, empty_mesh
@@ -39,7 +39,6 @@ DEFAULT_CULL_FACTOR = 1.0
 
 SKIP_NO_ANCHOR = "no-valid-anchor"
 SKIP_NO_CROSSING = "no-crossing"
-SKIP_CULLED = "culled"
 
 # who chose the corners an extraction evaluated
 CORNERS_BOUND = "lipschitz"
@@ -96,14 +95,6 @@ class ExtractStats:
         for name, secs in self.timings.items():
             lines.append(f"{name}: {secs:.3f} s")
         return "\n".join(lines)
-
-
-def _gather_cell_corners(values: np.ndarray, ijk: np.ndarray) -> np.ndarray:
-    """Corner values for selected cells: values (N,..) gathered to (m, 8, ...)."""
-    i, j, k = ijk[:, 0], ijk[:, 1], ijk[:, 2]
-    out = np.stack([values[i + dx, j + dy, k + dz] for dx, dy, dz in CORNER_OFFSETS],
-                   axis=1)
-    return out
 
 
 def _pseudo_sign(u8: np.ndarray, g8: np.ndarray, grad_norm_min: float,
@@ -176,8 +167,8 @@ def pseudo_sign_cell(samples: GridSamples, cell_index: int,
     the anchor-invariance tests rely on.
     """
     ijk = samples.spec.cell_origin_ijk(np.array([cell_index]))
-    s, anchor, has_anchor = _pseudo_sign(_gather_cell_corners(samples.u, ijk),
-                                         _gather_cell_corners(samples.g, ijk),
+    s, anchor, has_anchor = _pseudo_sign(_cell_corners(samples.u, ijk),
+                                         _cell_corners(samples.g, ijk),
                                          grad_norm_min, force_anchor)
     if not has_anchor[0]:
         return PseudoSignedCell(cell_index, None, None, SKIP_NO_ANCHOR)
@@ -202,11 +193,11 @@ def extract_mesh_detailed(field, spec: GridSpec,
                           ) -> tuple[TriMesh, ExtractStats]:
     """Full pipeline: sample, cull, pseudo-sign, triangulate, weld.
 
-    Without ``samples``, corner values come from ``sample_band``: a field
-    that declares a Lipschitz bound is evaluated only where the bound cannot
-    rule out the cull test, and every other corner reads +inf, which the
-    cull test rejects. Gradients are then evaluated only at the corners of
-    candidate cells. The output is the same as from dense ``samples``.
+    Without ``samples``, ``sample_band`` hands over the cells that may pass
+    the cull test with their exact corner values, evaluating a field that
+    declares a Lipschitz bound only where the bound cannot rule the test
+    out; gradients are then evaluated only at the corners of candidate
+    cells. The output is the same as from dense ``samples``.
 
     An edge cut in one sign-assigned cell but uncut in another is counted in
     ``edge_disagreements``. Neighboring cells can disagree near borders when
@@ -214,17 +205,20 @@ def extract_mesh_detailed(field, spec: GridSpec,
     reported, not repaired.
     """
     stats = ExtractStats(total_cells=spec.n_cells, total_corners=spec.resolution ** 3)
+    upper = cull_factor * spec.cell_diagonal
     t0 = time.perf_counter()
     if samples is None:
-        values, stats.corners_evaluated = sample_band(
-            field, spec, -np.inf, cull_factor * spec.cell_diagonal, threads)
+        cells, u8, stats.corners_evaluated = sample_band(field, spec, -np.inf, upper,
+                                                         threads)
         stats.corner_source = CORNERS_DENSE if field.lipschitz is None else CORNERS_BOUND
     else:
-        values, stats.corner_source = samples.u, CORNERS_GIVEN
+        cells, u8 = _lattice_band(samples.u, -np.inf, upper)
+        stats.corner_source = CORNERS_GIVEN
     stats.timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cand = candidate_cells(values, spec, cull_factor)
+    keep = _cull(u8, spec, cull_factor)
+    cand, u8 = cells[keep], u8[keep]
     stats.candidate_cells = len(cand)
     stats.culled_cells = stats.total_cells - len(cand)
     ijk = spec.cell_origin_ijk(cand)
@@ -236,10 +230,9 @@ def extract_mesh_detailed(field, spec: GridSpec,
         g8 = g[inverse.reshape(corner_ids.shape)]
         stats.timings["gradients"] = time.perf_counter() - t1
     else:
-        g8 = _gather_cell_corners(samples.g, ijk)
+        g8 = _cell_corners(samples.g, ijk)
 
-    s, _, has_anchor = _pseudo_sign(_gather_cell_corners(values, ijk), g8,
-                                    grad_norm_min)
+    s, _, has_anchor = _pseudo_sign(u8, g8, grad_norm_min)
     crossing = (s < 0).any(axis=1)
     stats.skipped_no_anchor = int((~has_anchor).sum())
     stats.skipped_no_crossing = int((~crossing).sum())
@@ -273,9 +266,12 @@ def mesh_signed_grid(values: np.ndarray, spec: GridSpec) -> TriMesh:
     """Standard signed marching cubes over corner values (negative inside)."""
     n = spec.resolution
     assert values.shape == (n, n, n)
-    inside = cell_corner_sums(values < 0)
+    return _mesh_signed_cells(spec, *_lattice_band(values, 0.0, 0.0))
+
+
+def _mesh_signed_cells(spec: GridSpec, cells: np.ndarray, s: np.ndarray) -> TriMesh:
+    """Signed marching cubes over sorted cells with corner values ``s`` (m, 8);
+    only cells with 1 to 7 negative corners hold surface."""
+    inside = (s < 0).sum(axis=1)
     active = (inside > 0) & (inside < 8)
-    # x-fastest ravel: active cells come out sorted by linear index
-    ijk = spec.cell_origin_ijk(np.flatnonzero(active.transpose(2, 1, 0).ravel()))
-    mesh, _, _ = _mesh_cells(spec, ijk, _gather_cell_corners(values, ijk))
-    return mesh
+    return _mesh_cells(spec, spec.cell_origin_ijk(cells[active]), s[active])[0]

@@ -1,11 +1,11 @@
 """Regular-lattice sampling of a field and candidate-cell selection.
 
 ``sample_grid`` and ``sample_grid_values`` evaluate every corner.
-``sample_band`` evaluates a field coarse to fine and skips the blocks its
-Lipschitz bound proves to lie outside a band of values; extraction and
-inflation use it. Every query runs in the fixed chunks of ``_evaluate``,
-lattice corners through ``_sample_corners``, so results do not depend on
-the worker count.
+``sample_band`` hands extraction and inflation the cells whose values may
+meet a band, sorted, with their 8 exact corner values; for a field with a
+Lipschitz bound it evaluates only the blocks the bound cannot rule out.
+Every query runs in the fixed chunks of ``_evaluate``, lattice corners
+through ``_sample_corners``, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import UdfField
+from .mc_tables import CORNER_OFFSETS
 
 THREADS_ENV_VAR = "UDF_MESHER_THREADS"
 
@@ -200,29 +201,49 @@ def sample_grid_values(field: UdfField, spec: GridSpec,
     return _sample_corners(field, spec, threads, grad=False)[0]
 
 
-# per-axis offsets of a block's 8 children and of the 27 corners of a
-# stride-2 block
-_CHILDREN = np.indices((2, 2, 2)).reshape(3, -1).T
-_BLOCK_CORNERS = np.indices((3, 3, 3)).reshape(3, -1).T
+def _cell_corners(values: np.ndarray, ijk: np.ndarray) -> np.ndarray:
+    """Entries of an [i, j, k] array (N, N, N, ...) at the corners of the cells
+    with min corners ``ijk``, as (m, 8, ...) in ``CORNER_OFFSETS`` order."""
+    n = values.shape[0]
+    strides = np.array([n * n, n, 1])      # of the flat [i, j, k] order
+    flat = values.reshape(n ** 3, *values.shape[3:])
+    return flat[(ijk @ strides)[:, None] + CORNER_OFFSETS @ strides]
+
+
+def _lattice_band(values: np.ndarray, lower: float, upper: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of an [i, j, k] value lattice with some corner <= ``upper``
+    and some corner >= ``lower``, as (cells, u8) like ``sample_band``."""
+    n = values.shape[0]
+    # a NaN corner counts as above, as signed marching cubes counts it outside
+    below, above = values <= upper, ~(values < lower)
+    some_below, some_above = np.zeros((2,) + (n - 1,) * 3, dtype=bool)
+    for dx, dy, dz in CORNER_OFFSETS:
+        corner = np.s_[dx:dx + n - 1, dy:dy + n - 1, dz:dz + n - 1]
+        some_below |= below[corner]
+        some_above |= above[corner]
+    # nonzero of the [k, j, i] view runs x fastest: ids come out sorted
+    k, j, i = np.nonzero((some_below & some_above).transpose(2, 1, 0))
+    cells = i + (n - 1) * (j + (n - 1) * k)
+    return cells, _cell_corners(values, np.column_stack([i, j, k]))
 
 
 def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
-                threads: int | None = None) -> tuple[np.ndarray, int]:
-    """Corner values wherever the field's bound cannot rule out the band
-    [lower, upper]; returns the [i, j, k] value array and the number of
-    corners evaluated.
+                threads: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cells whose values may meet the band [lower, upper]: (cells, u8,
+    evaluated), the sorted linear cell ids, their (m, 8) exact corner values
+    in ``CORNER_OFFSETS`` order and the number of corners evaluated. Every
+    cell left out has all 8 corners above ``upper`` or all below ``lower``.
 
     A field with ``lipschitz = L`` moves by at most L per unit distance, so
     its value u(c) at the centre of a block of s^3 cells bounds the whole
     block to [u(c) - h, u(c) + h] with h = L (s/2) cell diagonals. Blocks
     start at the largest power-of-two stride s <= (N-1)/4 and halve down to
-    stride 2; each level keeps only the blocks whose bound meets the band.
-    Every corner of every cell of a surviving stride-2 block gets its exact
-    value; every other corner gets a placeholder on its certified side,
-    -inf below ``lower`` and +inf above ``upper``. So any cell with a corner
-    value in the band, or with corners on both sides of it, has only exact
-    corners. A field without a bound, or a lattice too small for stride 2,
-    gets every corner evaluated, as ``sample_grid_values`` does.
+    stride 2; each level keeps only the blocks whose bound meets the band,
+    and the cells of the last survivors are returned. A field without a
+    bound, or a lattice too small for stride 2, gets every corner evaluated,
+    as ``sample_grid_values`` does, and every cell with a corner at or below
+    ``upper`` and one at or above ``lower`` is returned.
     """
     n = spec.resolution
     m = n - 1
@@ -230,10 +251,10 @@ def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
     while 2 * s <= m / 4:
         s *= 2
     if field.lipschitz is None or s < 2:
-        return _sample_corners(field, spec, threads, grad=False)[0], n ** 3
+        values = _sample_corners(field, spec, threads, grad=False)[0]
+        return (*_lattice_band(values, lower, upper), n ** 3)
 
     lo, step = np.asarray(spec.bounds_min), spec.step
-    values = np.full((n, n, n), np.inf)
     axis = np.arange(0, m, s)
     blocks = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     while True:
@@ -243,30 +264,31 @@ def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
         centres = lo + (blocks + s // 2) * step
         u, _ = _evaluate(field, len(blocks), lambda a, b: centres[a:b], threads,
                          False, "block centre")
-        for x, y, z in blocks[u + h < lower]:
-            values[x:x + s + 1, y:y + s + 1, z:z + s + 1] = -np.inf
         blocks = blocks[(u + h >= lower) & (u - h <= upper)]
-        if s == 2:
-            break
         s //= 2
-        blocks = (blocks[:, None, :] + s * _CHILDREN).reshape(-1, 3)
+        # a block's children sit at the offsets of a cell's corners, scaled;
+        # those of stride-2 blocks are cells
+        blocks = (blocks[:, None, :] + s * CORNER_OFFSETS).reshape(-1, 3)
         blocks = blocks[(blocks < m).all(axis=1)]
+        if s == 1:
+            break
 
-    corners = (blocks[:, None, :] + _BLOCK_CORNERS).reshape(-1, 3)
-    ids = np.unique(spec.corner_linear_index(corners[(corners <= m).all(axis=1)]))
-    values[ids % n, ids // n % n, ids // (n * n)] = \
-        _sample_corners(field, spec, threads, False, ids)[0]
-    return values, len(ids)
+    cells = np.sort(spec.cell_linear_index(blocks))
+    corner_ids = spec.corner_linear_index(spec.cell_origin_ijk(cells)[:, None, :]
+                                          + CORNER_OFFSETS)
+    ids, inverse = np.unique(corner_ids, return_inverse=True)
+    u = _sample_corners(field, spec, threads, False, ids)[0]
+    return cells, u[inverse.reshape(corner_ids.shape)], len(ids)
 
 
-def cell_corner_sums(values: np.ndarray) -> np.ndarray:
-    """Sum of the 8 corner values of every cell, shape (N-1, N-1, N-1)."""
-    v = values
-    out = v[:-1, :-1, :-1].astype(np.float64).copy()
-    for sl in (v[1:, :-1, :-1], v[1:, 1:, :-1], v[:-1, 1:, :-1],
-               v[:-1, :-1, 1:], v[1:, :-1, 1:], v[1:, 1:, 1:], v[:-1, 1:, 1:]):
-        out += sl
-    return out
+def _cull(u8: np.ndarray, spec: GridSpec, cull_factor: float) -> np.ndarray:
+    """Mask of the cells whose mean corner value, from (m, 8) corners added
+    in ``CORNER_OFFSETS`` order, is at most ``cull_factor`` cell diagonals.
+    ``u8.sum(axis=1)`` adds pairwise, which changes the last bit of some means
+    and so moves cells across the cull boundary."""
+    if cull_factor <= 0:
+        raise ValueError("cull_factor must be positive")
+    return sum(u8[:, c] for c in range(8)) / 8.0 <= cull_factor * spec.cell_diagonal
 
 
 def candidate_cells(samples, spec: GridSpec | None = None,
@@ -277,15 +299,12 @@ def candidate_cells(samples, spec: GridSpec | None = None,
     ``samples`` is a ``GridSamples`` or an [i, j, k] array of corner values;
     an array needs ``spec``.
     """
-    if cull_factor <= 0:
-        raise ValueError("cull_factor must be positive")
     if isinstance(samples, GridSamples):
         spec, values = spec or samples.spec, samples.u
     else:
         values = samples
-    means = cell_corner_sums(values) / 8.0
-    keep = means.transpose(2, 1, 0).ravel() <= cull_factor * spec.cell_diagonal
-    return np.flatnonzero(keep)
+    cells, u8 = _lattice_band(values, -np.inf, cull_factor * spec.cell_diagonal)
+    return cells[_cull(u8, spec, cull_factor)]
 
 
 # -- raw grid export ----------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import render
-from .extract import mesh_signed_grid
+from .extract import _mesh_signed_cells
 from .fields import UdfField
 from .grid import GridSpec, sample_band
 from .mesh import TriMesh
@@ -62,7 +62,9 @@ def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
     """
     if mesh.is_empty():
         raise ValueError("cannot sample an empty mesh")
-    areas = mesh.face_areas()
+    cross = mesh.face_normals(normalize=False)
+    norms = np.linalg.norm(cross, axis=1, keepdims=True)
+    areas = 0.5 * norms[:, 0]
     total = areas.sum()
     if total <= 0:
         raise ValueError("mesh has zero surface area")
@@ -74,7 +76,7 @@ def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
     w = np.stack([1.0 - su, su * (1.0 - r2), su * r2], axis=1)
     tri = mesh.vertices[mesh.faces[faces]]
     pts = np.einsum("nc,ncj->nj", w, tri)
-    normals = mesh.face_normals()[faces]
+    normals = np.divide(cross, norms, out=np.zeros_like(cross), where=norms > 0)[faces]
     return pts, normals, faces, w
 
 
@@ -167,15 +169,14 @@ def inflate_mesh(field: UdfField, spec: GridSpec, eps: float | None = None,
     """Mesh the eps-isolevel of the field with signed marching cubes.
 
     Default eps is 55% of the grid step; the shell closes up (watertight)
-    once 2*eps reaches the step size. Values come from ``sample_band`` with
-    the band [eps, eps]: a field with a Lipschitz bound is evaluated only
-    near the isolevel, and corners the bound places above or below it read
-    +inf or -inf, which carry the same signs as the exact values. The mesh
-    is the same as from dense ``sample_grid_values``.
+    once 2*eps reaches the step size. ``sample_band`` with the band
+    [eps, eps] hands over every cell that may straddle the isolevel, so a
+    field with a Lipschitz bound is evaluated only near it. The mesh is the
+    same as ``mesh_signed_grid`` of dense ``sample_grid_values`` minus eps.
     """
     if eps is None:
         eps = DEFAULT_EPS_FACTOR * float(spec.step.max())
     if eps <= 0:
         raise ValueError("eps must be positive")
-    values, _ = sample_band(field, spec, eps, eps, threads)
-    return mesh_signed_grid(values - eps, spec)
+    cells, u8, _ = sample_band(field, spec, eps, eps, threads)
+    return _mesh_signed_cells(spec, cells, u8 - eps)

@@ -1,11 +1,12 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here is deliberately written plain and separate from the library
-paths it validates: a per-cell signed marching cubes with its own
-interpolation and coordinate-keyed welding, an O(n^2) Chamfer scan, a
-loop-based MLP forward pass, and per-vertex / per-edge loop versions of
-vertex normals, outward border vectors and border smoothing. Only the published case tables are shared,
-since they are fixed reference data.
+paths it validates: corner sums of every cell of a whole lattice, a
+per-cell signed marching cubes with its own interpolation and
+coordinate-keyed welding, an O(n^2) Chamfer scan, a loop-based MLP forward
+pass, and per-vertex / per-edge loop versions of vertex normals, outward
+border vectors and border smoothing. Only the published case tables are
+shared, since they are fixed reference data.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ import math
 import numpy as np
 
 from udfmesh.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
+
+
+def cell_corner_sums(values: np.ndarray) -> np.ndarray:
+    """Sum of the 8 corner values of every cell of an [i, j, k] lattice,
+    shape (N-1, N-1, N-1); corners add in ``CORNER_OFFSETS`` order."""
+    n = values.shape[0]
+    out = np.zeros((n - 1,) * 3)
+    for dx, dy, dz in CORNER_OFFSETS:
+        out += values[dx:dx + n - 1, dy:dy + n - 1, dz:dz + n - 1]
+    return out
 
 
 def signed_marching_cubes(values: np.ndarray, spec) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,44 @@ def nan_weights(tmp_path):
     return wpath
 
 
+def bad_descriptor(tmp_path, text):
+    desc = tmp_path / "field.json"
+    desc.write_text(text)
+    target = tmp_path / "t.xyz"
+    write_xyz(np.zeros((4, 3)), target)
+    return ["fit-pc", "--field", desc, "--target", target]
+
+
+def patch_obj(tmp_path):
+    path = tmp_path / "patch.obj"
+    write_obj(primitives.square_patch(side=1.0, z=0.05), path)
+    return path
+
+
+SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: bad_descriptor(tmp, json.dumps({"weights": "missing.json"})),
+    lambda tmp: bad_descriptor(tmp, "{not json"),
+    lambda tmp: ["mesh-inflate", *SPHERE, "--eps", "-1", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh-inflate", *SPHERE, "--eps", "0", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", *SPHERE, "--cull-factor", "0", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", *SPHERE, "--prune-tol", "-1", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", *SPHERE, "--prune-tol", "0", "--out", tmp / "o.obj"],
+    lambda tmp: ["gradcheck", "--family", "plane", "--res", "9", "--eps", "1e-3", "0"],
+    lambda tmp: ["metrics", "--pred", patch_obj(tmp), "--gt", patch_obj(tmp),
+                 "--samples", "0"],
+], ids=["missing-weights", "descriptor-not-json", "eps-negative", "eps-zero",
+        "cull-factor-zero", "prune-tol-negative", "prune-tol-zero",
+        "gradcheck-eps-zero", "metrics-no-samples"])
+def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    assert run(*argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert [line.startswith("error:") for line in err.splitlines()] == [True]
+    assert "Traceback" not in err
+
+
 class TestMeshCommand:
     def test_family_sphere_watertight(self, tmp_path, capsys):
         out = tmp_path / "sphere.obj"

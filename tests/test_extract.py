@@ -300,3 +300,15 @@ class TestSignedGrid:
         assert r.min() < 0.5 - 0.5 * eps
         assert r.max() > 0.5 + 0.5 * eps
         assert np.abs(r - 0.5).max() <= eps + spec.cell_diagonal
+
+    def test_nan_corner_counts_as_outside(self):
+        # a NaN corner is not negative, so it triangulates like a positive one
+        spec = GridSpec(3)
+        values = np.full((3, 3, 3), -1.0)
+        positive = values.copy()
+        positive[1, 1, 1] = 1.0
+        values[1, 1, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            mesh = mesh_signed_grid(values, spec)
+        assert mesh.n_faces == 8
+        np.testing.assert_array_equal(mesh.faces, mesh_signed_grid(positive, spec).faces)

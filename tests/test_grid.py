@@ -7,8 +7,10 @@ from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf,
                      load_grid_dump, mesh_signed_grid, primitives, random_mlp,
                      sample_grid, sample_grid_values)
 from udfmesh.grid import CHUNK, NonFiniteFieldError, sample_band
+from udfmesh.mc_tables import CORNER_OFFSETS
 
 from conftest import generic_spec
+from oracles import cell_corner_sums
 
 
 def one_field_per_family():
@@ -172,6 +174,21 @@ class CountingSphere(SphereShellUdf):
         return super()._query(pts, grad, sens)
 
 
+# a cull band, an isolevel band and a band above the lattice spacing
+BANDS = [(-np.inf, GridSpec(33).cell_diagonal), (0.02, 0.02), (0.3, 0.4)]
+
+
+def flat_values(field, spec):
+    """Exact corner values in x-fastest order, by dense sampling."""
+    return sample_grid_values(field, spec).transpose(2, 1, 0).ravel()
+
+
+def cell_corner_ids(spec, cells):
+    """(m, 8) x-fastest ids of the corners of cells, in CORNER_OFFSETS order."""
+    return spec.corner_linear_index(spec.cell_origin_ijk(cells)[:, None, :]
+                                    + CORNER_OFFSETS)
+
+
 class TestSampleBand:
     def test_families_declare_unit_bound(self):
         assert LIPSCHITZ_FAMILIES == ["mesh", "mesh-dmax", "translated-mesh", "plane",
@@ -194,7 +211,7 @@ class TestSampleBand:
         assert stats.corners_evaluated <= n ** 3
 
         # the default eps, and one wide enough that blocks are certified
-        # below it (their corners read -inf)
+        # below it
         dense_values = sample_grid_values(field, spec)
         for eps in (0.55 * float(spec.step.max()), 0.2):
             dense_shell = mesh_signed_grid(dense_values - eps, spec)
@@ -202,24 +219,74 @@ class TestSampleBand:
 
     def test_exact_wherever_band_is_not_ruled_out(self):
         field, spec = SphereShellUdf(0.5), generic_spec(33)
-        exact = sample_grid_values(field, spec)
-        for lower, upper in [(-np.inf, spec.cell_diagonal), (0.02, 0.02), (0.3, 0.4)]:
-            values, evaluated = sample_band(field, spec, lower, upper)
-            known = np.isfinite(values)
-            assert known.sum() == evaluated < spec.resolution ** 3
-            assert_bitwise(values[known], exact[known])
-            assert (exact[values == np.inf] > upper).all()
-            assert (exact[values == -np.inf] < lower).all()
-            # a wide band below the lattice spacing certifies corners below it
-            if lower == 0.3:
-                assert (values == -np.inf).any()
+        exact = flat_values(field, spec)
+        for lower, upper in BANDS:
+            cells, u8, evaluated = sample_band(field, spec, lower, upper)
+            assert (np.diff(cells) > 0).all()
+            corner_ids = cell_corner_ids(spec, cells)
+            assert evaluated == len(np.unique(corner_ids)) < spec.resolution ** 3
+            assert_bitwise(u8, exact[corner_ids])
+
+    @pytest.mark.parametrize("band", BANDS, ids=["cull", "isolevel", "wide"])
+    @pytest.mark.parametrize("make_field", [SphereShellUdf, CountingSphere],
+                             ids=["bounded", "whole-lattice"])
+    def test_cells_left_out_lie_outside_band(self, make_field, band):
+        field, spec, (lower, upper) = make_field(0.5), generic_spec(33), band
+        cells, u8, _ = sample_band(field, spec, lower, upper)
+        rest = np.setdiff1d(np.arange(spec.n_cells), cells)
+        rest8 = flat_values(field, spec)[cell_corner_ids(spec, rest)]
+        above, below = (rest8 > upper).all(axis=1), (rest8 < lower).all(axis=1)
+        assert (above | below).all()
+        assert above.any()
+        # a band above the lattice spacing leaves cells out below it too
+        assert below.any() == (lower == 0.3)
 
     def test_thread_count_does_not_change_certified_values(self):
         spec = generic_spec(129)
-        a, evaluated = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01, threads=1)
-        b, _ = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01, threads=4)
+        a_cells, a, evaluated = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01,
+                                            threads=1)
+        b_cells, b, _ = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01, threads=4)
         assert evaluated > CHUNK
+        np.testing.assert_array_equal(a_cells, b_cells)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("make_spec", [GridSpec, generic_spec], ids=["dyadic", "generic"])
+    @pytest.mark.parametrize("n", [17, 33, 50])
+    @pytest.mark.parametrize("name", LIPSCHITZ_FAMILIES)
+    def test_bounded_cells_cover_dense_cells(self, name, n, make_spec):
+        # every cell the dense path culls in, or inflation meshes, is handed
+        # over by the bounded producer
+        field, spec = FAMILIES[name], make_spec(n)
+        dense = sample_grid_values(field, spec)
+
+        def ids(mask):
+            return np.flatnonzero(mask.transpose(2, 1, 0).ravel())
+
+        diag = spec.cell_diagonal
+        cells, _, _ = sample_band(field, spec, -np.inf, diag)
+        assert np.isin(ids(cell_corner_sums(dense) / 8.0 <= diag), cells).all()
+        for eps in (0.55 * float(spec.step.max()), 0.2):
+            cells, _, _ = sample_band(field, spec, eps, eps)
+            inside = cell_corner_sums((dense - eps < 0).astype(float))
+            active = ids((inside > 0) & (inside < 8))
+            assert len(active) and np.isin(active, cells).all()
+
+    @pytest.mark.parametrize("make_spec", [GridSpec, generic_spec], ids=["dyadic", "generic"])
+    @pytest.mark.parametrize("n", [17, 33])
+    @pytest.mark.parametrize("make_field", [
+        lambda: random_mlp(hidden=(16, 16), encoding_order=3, seed=1),
+        lambda: CountingSphere(0.45),
+    ], ids=["mlp", "sphere-without-bound"])
+    def test_whole_lattice_producer_matches_dense(self, make_field, n, make_spec):
+        field, spec = make_field(), make_spec(n)
+        mesh, stats = extract_mesh_detailed(field, spec)
+        dense_mesh, dense_stats = extract_mesh_detailed(field, spec,
+                                                        samples=sample_grid(field, spec))
+        assert stats.corner_source == "dense"
+        assert mesh.n_faces > 0
+        assert_same_mesh(mesh, dense_mesh)
+        for key in EXTRACT_COUNTERS:
+            assert getattr(stats, key) == getattr(dense_stats, key), key
 
     @pytest.mark.parametrize("run", [
         lambda f, spec: extract_mesh_detailed(f, spec),
@@ -303,7 +370,6 @@ class TestCandidateCells:
         pts = spec.corner_points()
         signed = (np.linalg.norm(pts, axis=1) - 0.5).reshape(
             (spec.resolution,) * 3, order="F")
-        from udfmesh.grid import cell_corner_sums
         neg = cell_corner_sums((signed < 0).astype(float))
         crossing = np.flatnonzero(
             ((neg > 0) & (neg < 8)).transpose(2, 1, 0).ravel())
