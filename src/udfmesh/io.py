@@ -7,6 +7,7 @@ round trip is exact. Point clouds are whitespace-separated XYZ text.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -36,7 +37,10 @@ def read_obj(path) -> TriMesh:
                 continue
             try:
                 if parts[0] == "v":
-                    verts.append([float(x) for x in parts[1:4]])
+                    v = [float(x) for x in parts[1:4]]
+                    if not all(map(math.isfinite, v)):
+                        raise ValueError(f"vertex {len(verts) + 1} is not finite")
+                    verts.append(v)
                 elif parts[0] == "f":
                     idx = [int(p.split("/")[0]) for p in parts[1:]]
                     if len(idx) < 3:
@@ -107,6 +111,10 @@ def read_ply(path) -> TriMesh:
         raw = np.frombuffer(fh.read(vdtype.itemsize * n_verts), dtype=vdtype,
                             count=n_verts)
         verts = np.stack([raw[f"p{i}"].astype(np.float64) for i in range(3)], axis=1)
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+        if bad.size:
+            raise MeshFormatError(f"{path}: vertex {bad[0]} is not finite: "
+                                  f"{tuple(verts[bad[0]].tolist())}")
 
         faces = np.empty((n_faces, 3), dtype=np.int64)
         for i in range(n_faces):
@@ -147,4 +155,8 @@ def read_xyz(path) -> np.ndarray:
         raise MeshFormatError(f"{path}: bad XYZ data: {exc}")
     if pts.shape[1] < 3:
         raise MeshFormatError(f"{path}: expected 3 columns, found {pts.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(pts[:, :3]).all(axis=1))
+    if bad.size:
+        raise MeshFormatError(f"{path}: point {bad[0]} is not finite: "
+                              f"{tuple(pts[bad[0], :3].tolist())}")
     return pts[:, :3]

@@ -53,6 +53,13 @@ class MetricsReport:
                 "ic_cosine_over": "co-covered pixels"}
 
 
+def _require_finite(mesh: TriMesh, name: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name} has a non-finite vertex: vertex {bad[0]} "
+                         f"is {tuple(mesh.vertices[bad[0]].tolist())}")
+
+
 def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
     """Area-weighted surface samples with their face normals.
 
@@ -62,6 +69,7 @@ def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
     """
     if mesh.is_empty():
         raise ValueError("cannot sample an empty mesh")
+    _require_finite(mesh, "mesh")
     cross = mesh.face_normals(normalize=False)
     norms = np.linalg.norm(cross, axis=1, keepdims=True)
     areas = 0.5 * norms[:, 0]
@@ -97,30 +105,39 @@ def nearest_neighbor_sq(query: np.ndarray, target: np.ndarray):
     return d2[rows, pick], idx[rows, pick]
 
 
-def chamfer(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Chamfer distance between two point sets (squared units)."""
+def _chamfer_nc(a, b, a_normals=None, b_normals=None):
+    """CHD, and NC when normals are given (else None), from one
+    nearest-neighbor query each way."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer requires non-empty point sets")
-    d_ab, _ = nearest_neighbor_sq(a, b)
-    d_ba, _ = nearest_neighbor_sq(b, a)
-    return float(d_ab.mean() + d_ba.mean())
+    d_ab, idx_ab = nearest_neighbor_sq(a, b)
+    d_ba, idx_ba = nearest_neighbor_sq(b, a)
+    chd = float(d_ab.mean() + d_ba.mean())
+    if a_normals is None:
+        return chd, None
+    cos_ab = np.abs(np.einsum("ij,ij->i", a_normals, b_normals[idx_ab]))
+    cos_ba = np.abs(np.einsum("ij,ij->i", b_normals, a_normals[idx_ba]))
+    return chd, float(50.0 * (cos_ab.mean() + cos_ba.mean()))
+
+
+def chamfer(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric Chamfer distance between two point sets (squared units)."""
+    return _chamfer_nc(a, b)[0]
 
 
 def normal_consistency(a_pts, a_normals, b_pts, b_normals) -> float:
     """Mean unsigned cosine between normals of nearest pairs, in percent."""
-    _, idx_ab = nearest_neighbor_sq(a_pts, b_pts)
-    _, idx_ba = nearest_neighbor_sq(b_pts, a_pts)
-    cos_ab = np.abs(np.einsum("ij,ij->i", a_normals, b_normals[idx_ab]))
-    cos_ba = np.abs(np.einsum("ij,ij->i", b_normals, a_normals[idx_ba]))
-    return float(50.0 * (cos_ab.mean() + cos_ba.mean()))
+    return _chamfer_nc(a_pts, b_pts, a_normals, b_normals)[1]
 
 
 def image_consistency(pred: TriMesh, gt: TriMesh, size: int = render.IMAGE_SIZE) -> float:
     """Silhouette IoU times normal-map cosine over 8 views, in percent."""
     if pred.is_empty() or gt.is_empty():
         raise ValueError("image consistency requires non-empty meshes")
+    _require_finite(pred, "pred")
+    _require_finite(gt, "gt")
     cams, target = render.scene_cameras(pred, gt)
 
     scores = []
@@ -147,6 +164,8 @@ def image_consistency(pred: TriMesh, gt: TriMesh, size: int = render.IMAGE_SIZE)
 def evaluate_pair(pred: TriMesh, gt: TriMesh, n_samples: int = DEFAULT_SAMPLES,
                   seed: int = 0, image_size: int = render.IMAGE_SIZE) -> MetricsReport:
     """All three metrics between a reconstruction and a reference mesh."""
+    _require_finite(pred, "pred")
+    _require_finite(gt, "gt")
     timings = {}
     t0 = time.perf_counter()
     a_pts, a_nrm, _, _ = sample_surface(pred, n_samples, seed)
@@ -154,8 +173,7 @@ def evaluate_pair(pred: TriMesh, gt: TriMesh, n_samples: int = DEFAULT_SAMPLES,
     timings["sample"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    chd = chamfer(a_pts, b_pts)
-    nc = normal_consistency(a_pts, a_nrm, b_pts, b_nrm)
+    chd, nc = _chamfer_nc(a_pts, b_pts, a_nrm, b_nrm)
     timings["chamfer_nc"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

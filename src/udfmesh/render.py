@@ -5,6 +5,16 @@ its center, look at the surface centroid, and use a 45-degree vertical
 field of view at square aspect. Visibility uses screen-space barycentric
 fill with a 1/depth buffer; each covered pixel stores the face normal of
 the winning triangle (flat shading, orientation as emitted).
+
+A pixel goes to the face with the largest interpolated 1/depth there, and
+among equal values to the lowest face index: the result of drawing the
+faces in order and replacing a pixel only on a strictly larger 1/depth.
+Faces with a vertex at or behind the eye, an empty clipped pixel box or a
+near-zero screen area are not drawn. The fill is edge-function
+rasterization (Pineda 1988) run in batches: every face in front of the eye
+expands into the (face, pixel) pairs of its clipped bounding box, and
+consecutive faces are evaluated about 2^13 pairs at a time, so memory
+stays flat however large the mesh is.
 """
 
 from __future__ import annotations
@@ -18,6 +28,9 @@ from .mesh import TriMesh
 
 IMAGE_SIZE = 256
 VFOV_DEG = 45.0
+# (face, pixel) pairs per batch: large enough to amortise numpy call
+# overhead, small enough to keep peak memory flat
+_CHUNK_PAIRS = 1 << 13
 
 
 def cuboid_cameras(bounds_min, bounds_max, scale: float = 1.5) -> np.ndarray:
@@ -62,58 +75,89 @@ def render_view(mesh: TriMesh, eye, target, size: int = IMAGE_SIZE,
     if mesh.is_empty():
         return sil, normals
 
+    face, count, per_face = _drawn_faces(mesh, eye, target, size, vfov_deg)
+    ends = np.cumsum(count)
+    zbuf = np.zeros(size * size)
+    winner = np.full(size * size, -1)
+    start = 0
+    while start < len(face):
+        # consecutive faces up to _CHUNK_PAIRS pairs; a larger face alone
+        stop = max(int(np.searchsorted(ends, ends[start] - count[start] + _CHUNK_PAIRS,
+                                       side="right")), start + 1)
+        _fill_chunk(zbuf, winner, size, per_face, start, stop, count[start:stop])
+        start = stop
+
+    hit = winner >= 0
+    sil.reshape(-1)[hit] = True
+    normals.reshape(-1, 3)[hit] = mesh.face_normals()[face[winner[hit]]]
+    return sil, normals
+
+
+def _drawn_faces(mesh, eye, target, size, vfov_deg):
+    """The faces to draw, in order, with the pixel count of each one's
+    clipped box and the per-face columns ``_fill_chunk`` reads."""
     frame = look_at(np.asarray(eye, float), np.asarray(target, float))
     cam = (mesh.vertices - eye) @ frame.T
     focal = 1.0 / np.tan(np.radians(vfov_deg) / 2.0)
 
     tri_cam = cam[mesh.faces]
     depths = tri_cam[..., 2]
-    ok = (depths > 1e-9).all(axis=1)
-    if not ok.any():
-        return sil, normals
+    face = np.flatnonzero((depths > 1e-9).all(axis=1))
+    tri_cam = tri_cam[face]
+    depths = depths[face]
 
     # NDC in [-1, 1], then pixel centers
     ndc = tri_cam[..., :2] * focal / depths[..., None]
     px = (ndc + 1.0) * 0.5 * size - 0.5
     inv_z = 1.0 / depths
 
-    face_normals = mesh.face_normals()
-    zbuf = np.zeros((size, size))
+    # clipped pixel box, edge vectors and doubled signed area
+    lo = np.maximum(np.floor(px.min(axis=1)).astype(int), 0)
+    hi = np.minimum(np.ceil(px.max(axis=1)).astype(int), size - 1)
+    v0 = px[:, 1] - px[:, 0]
+    v1 = px[:, 2] - px[:, 0]
+    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+    keep = (hi >= lo).all(axis=1) & ~(np.abs(den) < 1e-14)
+    ny = hi[keep, 1] - lo[keep, 1] + 1
+    count = (hi[keep, 0] - lo[keep, 0] + 1) * ny
+    per_face = (ny, lo[keep, 0], lo[keep, 1],
+                px[keep, 0, 0], px[keep, 0, 1], v0[keep, 0], v0[keep, 1],
+                v1[keep, 0], v1[keep, 1], den[keep],
+                inv_z[keep, 0], inv_z[keep, 1], inv_z[keep, 2])
+    return face[keep], count, per_face
 
-    for f in np.flatnonzero(ok):
-        p = px[f]
-        lo = np.floor(p.min(axis=0)).astype(int)
-        hi = np.ceil(p.max(axis=0)).astype(int)
-        x0, y0 = np.maximum(lo, 0)
-        x1, y1 = np.minimum(hi, size - 1)
-        if x1 < x0 or y1 < y0:
-            continue
-        xs = np.arange(x0, x1 + 1)
-        ys = np.arange(y0, y1 + 1)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
 
-        v0 = p[1] - p[0]
-        v1 = p[2] - p[0]
-        den = v0[0] * v1[1] - v0[1] * v1[0]
-        if abs(den) < 1e-14:
-            continue
-        dx = gx - p[0, 0]
-        dy = gy - p[0, 1]
-        w1 = (dx * v1[1] - dy * v1[0]) / den
-        w2 = (dy * v0[0] - dx * v0[1]) / den
-        w0 = 1.0 - w1 - w2
-        inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-        if not inside.any():
-            continue
-        z = w0 * inv_z[f, 0] + w1 * inv_z[f, 1] + w2 * inv_z[f, 2]
-        closer = inside & (z > zbuf[gx, gy])
-        if not closer.any():
-            continue
-        gi, gj = gx[closer], gy[closer]
-        zbuf[gi, gj] = z[closer]
-        sil[gi, gj] = True
-        normals[gi, gj] = face_normals[f]
-    return sil, normals
+def _fill_chunk(zbuf, winner, size, per_face, start, stop, reps):
+    """Draw faces start..stop-1 into the flat buffers; ``winner`` holds
+    indices into ``per_face``. A function of its own, so one chunk's
+    arrays are freed before the next chunk allocates its own."""
+    (ny, x0, y0, p0x, p0y, v0x, v0y, v1x, v1y, den,
+     iz0, iz1, iz2) = (np.repeat(a[start:stop], reps) for a in per_face)
+    k = np.repeat(np.arange(start, stop), reps)
+    # each face's pixels in its box, row by row as meshgrid(indexing="ij")
+    ix, iy = np.divmod(np.arange(len(k)) - np.repeat(np.cumsum(reps) - reps, reps), ny)
+    gx = x0 + ix
+    gy = y0 + iy
+
+    dx = gx - p0x
+    dy = gy - p0y
+    w1 = (dx * v1y - dy * v1x) / den
+    w2 = (dy * v0x - dx * v0y) / den
+    w0 = 1.0 - w1 - w2
+    inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
+    z = (w0 * iz0 + w1 * iz1 + w2 * iz2)[inside]
+    pix = (gx * size + gy)[inside]
+    k = k[inside]
+
+    # the largest 1/depth wins a pixel, the lowest face among equals;
+    # earlier chunks hold lower faces, so they keep a tie
+    old = zbuf[pix]
+    np.maximum.at(zbuf, pix, z)
+    new = zbuf[pix]
+    won = (z == new) & (new > old)
+    pix, k = pix[won], k[won]
+    winner[pix] = np.iinfo(winner.dtype).max
+    np.minimum.at(winner, pix, k)
 
 
 def normal_map_to_rgb(normals: np.ndarray, silhouette: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ Everything here is deliberately written plain and separate from the library
 paths it validates: corner sums of every cell of a whole lattice, a
 per-cell signed marching cubes with its own interpolation and
 coordinate-keyed welding, an O(n^2) Chamfer scan, a loop-based MLP forward
-pass, and per-vertex / per-edge loop versions of vertex normals, outward
-border vectors and border smoothing. Only the published case tables are
-shared, since they are fixed reference data.
+pass, per-vertex / per-edge loop versions of vertex normals, outward
+border vectors and border smoothing, and a per-face loop z-buffer. Only
+the published case tables and the camera frame (``look_at``) are shared,
+since they are fixed reference data, not what the oracles check.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 from udfmesh.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
+from udfmesh.render import IMAGE_SIZE, VFOV_DEG, look_at
 
 
 def cell_corner_sums(values: np.ndarray) -> np.ndarray:
@@ -225,3 +227,68 @@ def loop_smooth_borders(mesh, steps: int, weight: float) -> np.ndarray:
         mid = 0.5 * (verts[nbr[idx, 0]] + verts[nbr[idx, 1]])
         verts[idx] += weight * (mid - verts[idx])
     return verts
+
+
+def loop_render_view(mesh, eye, target, size: int = IMAGE_SIZE,
+                     vfov_deg: float = VFOV_DEG) -> tuple[np.ndarray, np.ndarray]:
+    """The z-buffer as one loop over faces in face order: a face takes a
+    pixel only where its 1/depth is strictly larger than the buffer's, so
+    among equal depths the lowest face index keeps the pixel. Returns
+    (silhouette bool (H,W), normal map (H,W,3))."""
+    sil = np.zeros((size, size), dtype=bool)
+    normals = np.zeros((size, size, 3))
+    if mesh.is_empty():
+        return sil, normals
+
+    frame = look_at(np.asarray(eye, float), np.asarray(target, float))
+    cam = (mesh.vertices - eye) @ frame.T
+    focal = 1.0 / np.tan(np.radians(vfov_deg) / 2.0)
+
+    tri_cam = cam[mesh.faces]
+    depths = tri_cam[..., 2]
+    ok = (depths > 1e-9).all(axis=1)
+    if not ok.any():
+        return sil, normals
+
+    # NDC in [-1, 1], then pixel centers
+    ndc = tri_cam[..., :2] * focal / depths[..., None]
+    px = (ndc + 1.0) * 0.5 * size - 0.5
+    inv_z = 1.0 / depths
+
+    face_normals = mesh.face_normals()
+    zbuf = np.zeros((size, size))
+
+    for f in np.flatnonzero(ok):
+        p = px[f]
+        lo = np.floor(p.min(axis=0)).astype(int)
+        hi = np.ceil(p.max(axis=0)).astype(int)
+        x0, y0 = np.maximum(lo, 0)
+        x1, y1 = np.minimum(hi, size - 1)
+        if x1 < x0 or y1 < y0:
+            continue
+        xs = np.arange(x0, x1 + 1)
+        ys = np.arange(y0, y1 + 1)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+
+        v0 = p[1] - p[0]
+        v1 = p[2] - p[0]
+        den = v0[0] * v1[1] - v0[1] * v1[0]
+        if abs(den) < 1e-14:
+            continue
+        dx = gx - p[0, 0]
+        dy = gy - p[0, 1]
+        w1 = (dx * v1[1] - dy * v1[0]) / den
+        w2 = (dy * v0[0] - dx * v0[1]) / den
+        w0 = 1.0 - w1 - w2
+        inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
+        if not inside.any():
+            continue
+        z = w0 * inv_z[f, 0] + w1 * inv_z[f, 1] + w2 * inv_z[f, 2]
+        closer = inside & (z > zbuf[gx, gy])
+        if not closer.any():
+            continue
+        gi, gj = gx[closer], gy[closer]
+        zbuf[gi, gj] = z[closer]
+        sil[gi, gj] = True
+        normals[gi, gj] = face_normals[f]
+    return sil, normals

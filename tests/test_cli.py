@@ -37,6 +37,12 @@ def patch_obj(tmp_path):
     return path
 
 
+def non_finite_obj(tmp_path, value):
+    path = tmp_path / f"{value}.obj"
+    path.write_text(f"v 0 0 0\nv 0 {value} 0\nv 1 0 0\nf 1 2 3\n")
+    return path
+
+
 SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
 
 
@@ -51,9 +57,12 @@ SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
     lambda tmp: ["gradcheck", "--family", "plane", "--res", "9", "--eps", "1e-3", "0"],
     lambda tmp: ["metrics", "--pred", patch_obj(tmp), "--gt", patch_obj(tmp),
                  "--samples", "0"],
+    lambda tmp: ["metrics", "--pred", non_finite_obj(tmp, "nan"), "--gt", patch_obj(tmp)],
+    lambda tmp: ["metrics", "--pred", patch_obj(tmp), "--gt", non_finite_obj(tmp, "inf")],
 ], ids=["missing-weights", "descriptor-not-json", "eps-negative", "eps-zero",
         "cull-factor-zero", "prune-tol-negative", "prune-tol-zero",
-        "gradcheck-eps-zero", "metrics-no-samples"])
+        "gradcheck-eps-zero", "metrics-no-samples", "metrics-nan-vertex",
+        "metrics-inf-vertex"])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from udfmesh import (SphereShellUdf, extract_mesh, read_mesh, read_obj,
-                     read_ply, read_xyz, write_obj, write_ply, write_xyz)
+from udfmesh import (SphereShellUdf, TriMesh, extract_mesh, read_mesh,
+                     read_obj, read_ply, read_xyz, write_obj, write_ply,
+                     write_xyz)
 from udfmesh.io import MeshFormatError
 
 from conftest import generic_spec
@@ -33,6 +34,13 @@ class TestObj:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2 3/3\n")
         assert read_obj(path).n_faces == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_vertex_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 {value} 0\nf 1 2 3\n")
+        with pytest.raises(MeshFormatError, match="bad.obj:3: .*vertex 3 is not finite"):
+            read_obj(path)
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 0 0\nv 1 0 zebra\n")
@@ -58,6 +66,15 @@ class TestPly:
         np.testing.assert_array_equal(a.faces, b.faces)
         assert np.abs(a.vertices - b.vertices).max() < 1e-6
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_vertex_rejected(self, sphere_mesh, tmp_path, value):
+        verts = sphere_mesh.vertices.copy()
+        verts[5, 1] = value
+        path = tmp_path / "bad.ply"
+        write_ply(TriMesh(verts, sphere_mesh.faces), path)
+        with pytest.raises(MeshFormatError, match="bad.ply: vertex 5 is not finite"):
+            read_ply(path)
+
     def test_not_a_ply_rejected(self, tmp_path):
         path = tmp_path / "fake.ply"
         path.write_bytes(b"OFF\n1 2 3\n")
@@ -77,6 +94,13 @@ class TestXyz:
         path = tmp_path / "bad.xyz"
         path.write_text("1.0 2.0\n3.0 4.0\n")
         with pytest.raises(MeshFormatError, match="3 columns"):
+            read_xyz(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.xyz"
+        path.write_text(f"1.0 2.0 3.0\n1.0 {value} 3.0\n")
+        with pytest.raises(MeshFormatError, match="bad.xyz: point 1 is not finite"):
             read_xyz(path)
 
     def test_non_numeric_rejected(self, tmp_path):

@@ -168,6 +168,34 @@ class TestInflation:
             inflate_mesh(field, GridSpec(17), eps=0.0)
 
 
+def with_vertex(mesh, value):
+    verts = mesh.vertices.copy()
+    verts[1, 1] = value
+    return TriMesh(verts, mesh.faces)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+class TestNonFiniteMeshes:
+    def test_sample_surface_rejects(self, value):
+        bad = with_vertex(primitives.square_patch(subdivisions=2), value)
+        with pytest.raises(ValueError, match="non-finite vertex: vertex 1"):
+            sample_surface(bad, 100)
+
+    def test_image_consistency_rejects(self, value):
+        good = primitives.square_patch(subdivisions=2)
+        bad = with_vertex(good, value)
+        with pytest.raises(ValueError, match="pred has a non-finite vertex"):
+            image_consistency(bad, good, size=16)
+        with pytest.raises(ValueError, match="gt has a non-finite vertex"):
+            image_consistency(good, bad, size=16)
+
+    def test_evaluate_pair_rejects(self, value):
+        good = primitives.square_patch(subdivisions=2)
+        bad = with_vertex(good, value)
+        with pytest.raises(ValueError, match="gt has a non-finite vertex"):
+            evaluate_pair(good, bad, n_samples=100, image_size=16)
+
+
 class TestEvaluatePair:
     def test_report_fields_and_ranges(self):
         mesh = extract_mesh(SphereShellUdf(0.5), generic_spec(17))
