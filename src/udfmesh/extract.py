@@ -127,8 +127,9 @@ def _mesh_cells(spec: GridSpec, cells_ijk: np.ndarray, s: np.ndarray):
     cell in table order. Every cut lattice edge becomes one vertex, ordered
     by global edge id. Interpolating each edge from its low corner to its
     high one makes the position independent of which incident cell computes
-    it. Returns (mesh, ids, cut): the mesh plus the (m, 12) global edge ids
-    of every cell and the mask of those its signs cut.
+    it. Returns (mesh, ids, cut, vertex_ids): the mesh, the (m, 12) global
+    edge ids of every cell, the mask of those its signs cut, and the sorted
+    global edge id of every vertex.
     """
     n = spec.resolution
     ids = EDGE_AXIS * n ** 3 + spec.corner_linear_index(cells_ijk[:, None, :] + EDGE_BASE)
@@ -136,10 +137,10 @@ def _mesh_cells(spec: GridSpec, cells_ijk: np.ndarray, s: np.ndarray):
     lo, hi = EDGE_CORNERS_LOW_HIGH.T
     cut = neg[:, lo] != neg[:, hi]
     if not cut.any():
-        return empty_mesh(), ids, cut
+        return empty_mesh(), ids, cut, ids[cut]
 
     cell_of, edge_of = np.nonzero(cut)
-    _, first, inverse = np.unique(ids[cut], return_index=True, return_inverse=True)
+    vertex_ids, first, inverse = np.unique(ids[cut], return_index=True, return_inverse=True)
     c, ca, cb = cell_of[first], lo[edge_of[first]], hi[edge_of[first]]
     axes = np.stack([spec.axis_coords(a) for a in range(3)])
     pa = axes[np.arange(3), cells_ijk[c] + CORNER_OFFSETS[ca]]
@@ -153,7 +154,7 @@ def _mesh_cells(spec: GridSpec, cells_ijk: np.ndarray, s: np.ndarray):
     has_tri = tri >= 0
     face_cell = np.broadcast_to(np.arange(len(tri))[:, None], tri.shape)[has_tri]
     faces = vertex_of[face_cell, tri[has_tri]].reshape(-1, 3)
-    return TriMesh(vertices, faces), ids, cut
+    return TriMesh(vertices, faces), ids, cut, vertex_ids
 
 
 def pseudo_sign_cell(samples: GridSamples, cell_index: int,
@@ -181,7 +182,7 @@ def triangulate_cell(cell: PseudoSignedCell, spec: GridSpec) -> np.ndarray:
     if cell.values is None:
         return np.zeros((0, 3, 3))
     ijk = spec.cell_origin_ijk(np.array([cell.cell_index]))
-    mesh, _, _ = _mesh_cells(spec, ijk, cell.values[None, :])
+    mesh = _mesh_cells(spec, ijk, cell.values[None, :])[0]
     return mesh.vertices[mesh.faces]
 
 
@@ -238,9 +239,8 @@ def extract_mesh_detailed(field, spec: GridSpec,
     stats.skipped_no_crossing = int((~crossing).sum())
     stats.triangulated_cells = int(crossing.sum())
 
-    mesh, ids, cut = _mesh_cells(spec, ijk[has_anchor], s)
-    # edges cut in some cell: mark those that are also uncut in another
-    cut_ids = np.unique(ids[cut])
+    mesh, ids, cut, cut_ids = _mesh_cells(spec, ijk[has_anchor], s)
+    # edges cut in some cell (one per vertex): mark those also uncut in another
     if len(cut_ids):
         uncut = ids[~cut]
         pos = np.minimum(np.searchsorted(cut_ids, uncut), len(cut_ids) - 1)

@@ -157,8 +157,9 @@ class TestWeld:
         samples, spec = slab_cell()
         cell = pseudo_sign_cell(samples, 0)
         ijk = spec.cell_origin_ijk(np.array([0]))
-        mesh, ids, cut = _mesh_cells(spec, ijk, cell.values[None])
+        mesh, ids, cut, vertex_ids = _mesh_cells(spec, ijk, cell.values[None])
         assert mesh.n_vertices == len(np.unique(ids[cut])) == 4
+        np.testing.assert_array_equal(vertex_ids, np.unique(ids[cut]))
 
     def test_shared_edge_positions_bitwise_identical(self):
         # mesh every crossing cell on its own: a lattice edge cut by several
@@ -171,9 +172,10 @@ class TestWeld:
             cell = pseudo_sign_cell(samples, int(c))
             if cell.skipped is not None:
                 continue
-            mesh, ids, cut = _mesh_cells(spec, spec.cell_origin_ijk(np.array([c])),
-                                         cell.values[None])
-            edge_ids.append(np.unique(ids[cut]))    # the vertex order
+            mesh, ids, cut, vertex_ids = _mesh_cells(
+                spec, spec.cell_origin_ijk(np.array([c])), cell.values[None])
+            np.testing.assert_array_equal(vertex_ids, np.unique(ids[cut]))
+            edge_ids.append(vertex_ids)    # the vertex order
             positions.append(mesh.vertices)
         ids, pos = np.concatenate(edge_ids), np.concatenate(positions)
         order = np.argsort(ids, kind="stable")
