@@ -2,10 +2,20 @@
 
 The closest-point routine is the standard Voronoi-region walk (vertex, edge
 and face regions checked in turn), vectorized over point/triangle pairs.
-``MeshDistanceIndex`` makes the query exact and fast for large meshes: a
-kd-tree over triangle centroids supplies a certified candidate set (any
-triangle that could beat the current best must have its centroid within
-best + r_max of the query), then exact distances settle the winner.
+
+``MeshDistanceIndex`` answers a query exactly through a bounding-volume
+hierarchy of triangle boxes (Ericson, *Real-Time Collision Detection*,
+2005, ch. 6). The triangles are sorted by the Morton code of their
+centroids and merged ``FANOUT`` at a time into axis-aligned boxes, level by
+level, up to one root (the linear build of Karras, HPG 2012). A query
+point first gets an upper bound: its exact distance to the triangle with
+the nearest centroid. (point, box) pairs are then pruned level by level,
+keeping every box no farther than that bound, and every surviving
+(point, triangle) pair is evaluated in one flat closest-point call. Each
+point keeps the smallest squared distance, and among exact ties the lowest
+face index, which is the rule of a sweep over the faces in order: the
+result is bitwise that of the sweep. A mesh of at most ``FANOUT``
+triangles has no box to prune and evaluates every pair.
 """
 
 from __future__ import annotations
@@ -13,11 +23,21 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
+FANOUT = 4            # children per tree node; a leaf is one triangle
+BATCH = 2048          # points per traversal; bounds the per-point arrays
+PAIRS = 1 << 16       # (point, box) pairs per pruning step; bounds the rest
+SLACK = 1e-9          # relative widening of every pruning radius
+MORTON_BITS = 10      # centroid quantization per axis for the build order
+
 
 def closest_point_on_triangles(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Closest point on triangle i to point i, for paired inputs.
 
     points: (n, 3); triangles: (n, 3, 3). Returns (n, 3).
+
+    Each row is first assigned its region (vertex A, B, C, edge AB, AC, BC,
+    then interior, the first test that holds wins) and only that region's
+    expression is evaluated on its rows.
     """
     p = np.asarray(points, dtype=np.float64)
     tri = np.asarray(triangles, dtype=np.float64)
@@ -37,128 +57,175 @@ def closest_point_on_triangles(points: np.ndarray, triangles: np.ndarray) -> np.
     d5 = np.einsum("ij,ij->i", ab, cp)
     d6 = np.einsum("ij,ij->i", ac, cp)
 
-    out = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
-
-    def settle(mask, value):
-        fresh = mask & ~done
-        out[fresh] = value[fresh]
-        done[fresh] = True
-
-    # vertex regions
-    settle((d1 <= 0) & (d2 <= 0), a)
-    settle((d3 >= 0) & (d4 <= d3), b)
-    settle((d6 >= 0) & (d5 <= d6), c)
-
-    # edge AB
     vc = d1 * d4 - d3 * d2
-    denom = d1 - d3
-    v = np.divide(d1, denom, out=np.zeros_like(d1), where=denom != 0)
-    settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + v[:, None] * ab)
-
-    # edge AC
     vb = d5 * d2 - d1 * d6
-    denom = d2 - d6
-    w = np.divide(d2, denom, out=np.zeros_like(d2), where=denom != 0)
-    settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + w[:, None] * ac)
-
-    # edge BC
     va = d3 * d6 - d5 * d4
-    denom = (d4 - d3) + (d5 - d6)
-    w = np.divide(d4 - d3, denom, out=np.zeros_like(d4), where=denom != 0)
-    settle((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), b + w[:, None] * (c - b))
+    region = np.select([(d1 <= 0) & (d2 <= 0),                       # vertex A
+                        (d3 >= 0) & (d4 <= d3),                      # vertex B
+                        (d6 >= 0) & (d5 <= d6),                      # vertex C
+                        (vc <= 0) & (d1 >= 0) & (d3 <= 0),           # edge AB
+                        (vb <= 0) & (d2 >= 0) & (d6 <= 0),           # edge AC
+                        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)],  # edge BC
+                       np.arange(6, dtype=np.int8), np.int8(6))      # interior
+    order = np.argsort(region, kind="stable")
+    ends = np.searchsorted(region[order], np.arange(7, dtype=np.int8), side="right")
+    rows = np.split(order, ends[:-1])
 
-    # interior
-    total = va + vb + vc
-    inv = np.divide(1.0, total, out=np.zeros_like(total), where=total != 0)
-    v = vb * inv
-    w = vc * inv
-    settle(np.ones(len(p), dtype=bool), a + v[:, None] * ab + w[:, None] * ac)
+    out = np.empty_like(p)
+    for corner, i in zip((a, b, c), rows[:3]):
+        out[i] = corner[i]
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+
+    i = rows[3]
+    v = ratio(d1[i], d1[i] - d3[i])
+    out[i] = a[i] + v[:, None] * ab[i]
+
+    i = rows[4]
+    w = ratio(d2[i], d2[i] - d6[i])
+    out[i] = a[i] + w[:, None] * ac[i]
+
+    i = rows[5]
+    num = d4[i] - d3[i]
+    w = ratio(num, num + (d5[i] - d6[i]))
+    out[i] = b[i] + w[:, None] * (c[i] - b[i])
+
+    i = rows[6]
+    inv = ratio(np.ones(len(i)), va[i] + vb[i] + vc[i])
+    out[i] = a[i] + (vb[i] * inv)[:, None] * ab[i] + (vc[i] * inv)[:, None] * ac[i]
     return out
+
+
+def _morton_order(centroids: np.ndarray) -> np.ndarray:
+    """Stable order of the centroids along a Z-order curve over their box."""
+    lo, hi = centroids.min(axis=0), centroids.max(axis=0)
+    scale = (1 << MORTON_BITS) - 1
+    q = ((centroids - lo) / np.where(hi > lo, hi - lo, 1.0) * scale).astype(np.uint64)
+    code = np.zeros(len(centroids), dtype=np.uint64)
+    for bit in range(MORTON_BITS):
+        for axis in range(3):
+            code |= ((q[:, axis] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(3 * bit + axis)
+    return np.argsort(code, kind="stable")
+
+
+def _box_d2(q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared distance from each point q[i] to its boxes [lo[i], hi[i]],
+    of shape (n, 3), or (n, k, 3) for k boxes per point: the offset to the
+    box's nearest point. Overwrites ``lo``, a fresh gather at every call.
+
+    Every step is monotone in the box, and the squares add in one fixed
+    order, so a box inside another never gets the smaller result."""
+    if lo.ndim == 3:
+        q = q[:, None, :]
+    t = np.maximum(lo, q, out=lo)
+    np.minimum(t, hi, out=t)
+    t -= q
+    t *= t
+    return t[..., 0] + t[..., 1] + t[..., 2]
 
 
 class MeshDistanceIndex:
     """Exact nearest-point queries against a fixed triangle soup."""
-
-    # below this many triangles a brute-force sweep beats tree bookkeeping
-    BRUTE_FORCE_LIMIT = 24
 
     def __init__(self, vertices: np.ndarray, faces: np.ndarray):
         vertices = np.asarray(vertices, dtype=np.float64)
         faces = np.asarray(faces, dtype=np.int64)
         if len(faces) == 0:
             raise ValueError("mesh has no triangles")
-        self.triangles = vertices[faces]
-        self.centroids = self.triangles.mean(axis=1)
-        # farthest vertex-to-centroid distance bounds how far a triangle
-        # can reach beyond its centroid
-        self.spreads = np.linalg.norm(
-            self.triangles - self.centroids[:, None, :], axis=2).max(axis=1)
-        self.max_spread = float(self.spreads.max())
-        self._tree = cKDTree(self.centroids) if len(faces) > self.BRUTE_FORCE_LIMIT else None
+        triangles = vertices[faces]
+        centroids = triangles.mean(axis=1)
+        # farthest vertex-to-centroid distance: the mesh's length scale
+        self.max_spread = float(np.linalg.norm(
+            triangles - centroids[:, None, :], axis=2).max())
+        # a pruning radius also covers the rounding of the distances it is
+        # compared with, which scales with the coordinates
+        self._atol = 1e-12 * (1.0 + float(np.abs(triangles).max()))
+
+        self._face = _morton_order(centroids)          # sorted slot -> face
+        self._triangles = triangles[self._face]
+        lo, hi = self._triangles.min(axis=1), self._triangles.max(axis=1)
+        # levels below the root, deepest (the triangles) last, as the lo and
+        # hi corners of each parent's FANOUT children, shape (parents,
+        # FANOUT, 3); NaN boxes pad the last parent and fail every test
+        self._levels = []
+        while len(lo) > 1:
+            starts = np.arange(0, len(lo), FANOUT)
+            pad = np.full((len(starts) * FANOUT - len(lo), 3), np.nan)
+            self._levels.insert(0, tuple(np.vstack([c, pad]).reshape(-1, FANOUT, 3)
+                                         for c in (lo, hi)))
+            lo = np.minimum.reduceat(lo, starts, axis=0)
+            hi = np.maximum.reduceat(hi, starts, axis=0)
+        # a single-leaf mesh (at most FANOUT triangles) needs no bound
+        self._tree = cKDTree(centroids[self._face]) if len(self._levels) > 1 else None
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and closest surface points for (n, 3) queries."""
+        """Distances and closest surface points for (n, 3) queries.
+
+        Raises ``ValueError`` naming the first point with a non-finite
+        coordinate.
+        """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if len(bad):
+            x, y, z = points[bad[0]]
+            raise ValueError(f"query point {bad[0]} is not finite: ({x}, {y}, {z})")
+        d = np.empty(len(points))
+        cp = np.empty((len(points), 3))
+        for s in range(0, len(points), BATCH):
+            self._query_batch(points[s:s + BATCH], d[s:s + BATCH], cp[s:s + BATCH])
+        return d, cp
+
+    def _query_batch(self, p: np.ndarray, d: np.ndarray, cp: np.ndarray) -> None:
+        n, m = len(p), len(self._triangles)
         if self._tree is None:
-            return self._query_brute(points)
-        return self._query_tree(points)
-
-    def _query_brute(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n, m = len(points), len(self.triangles)
-        best_d2 = np.full(n, np.inf)
-        best_cp = np.zeros((n, 3))
-        for t in range(m):
-            tri = np.broadcast_to(self.triangles[t], (n, 3, 3))
-            cp = closest_point_on_triangles(points, tri)
-            d2 = np.einsum("ij,ij->i", points - cp, points - cp)
-            better = d2 < best_d2
-            best_d2[better] = d2[better]
-            best_cp[better] = cp[better]
-        return np.sqrt(best_d2), best_cp
-
-    def _query_tree(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = len(points)
-        m = len(self.triangles)
-        best_d = np.empty(n)
-        best_cp = np.empty((n, 3))
-
-        remaining = np.arange(n)
-        k = 16
-        while len(remaining):
-            kk = min(k, m)
-            pts = points[remaining]
-            r = len(pts)
-            d_c, idx = self._tree.query(pts, k=kk)
-            d_c = d_c.reshape(r, kk)
-            idx = idx.reshape(r, kk)
-
-            # walk candidates in centroid order, tightening the exact upper
-            # bound as we go; most later columns fall to the pruning test
-            cp_best = closest_point_on_triangles(pts, self.triangles[idx[:, 0]])
-            diff = pts - cp_best
-            upper = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            for j in range(1, kk):
-                col = d_c[:, j]
-                if (col >= upper + self.max_spread).all():
-                    break   # columns only get farther, none can win anymore
-                rows = np.flatnonzero(col < upper + self.spreads[idx[:, j]])
-                if not len(rows):
+            self._settle(p, np.repeat(np.arange(n), m), np.tile(np.arange(m), n), d, cp)
+            return
+        reach2 = self._reach2(p)
+        # pairs stay grouped by point in ascending order, and every point
+        # keeps at least one pair, so a slice at a point boundary is a
+        # query of its own
+        pending = [(0, np.arange(n), np.zeros(n, dtype=np.int64))]
+        while pending:
+            depth, pid, node = pending.pop()
+            while depth < len(self._levels):
+                if len(pid) * FANOUT > PAIRS and pid[0] != pid[-1]:
+                    cut = np.searchsorted(pid, (pid[0] + pid[-1] + 1) // 2)
+                    pending.append((depth, pid[cut:], node[cut:]))
+                    pid, node = pid[:cut], node[:cut]
                     continue
-                cp = closest_point_on_triangles(pts[rows],
-                                                self.triangles[idx[rows, j]])
-                diff = pts[rows] - cp
-                d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                better = d < upper[rows]
-                upper[rows[better]] = d[better]
-                cp_best[rows[better]] = cp[better]
+                lo, hi = self._levels[depth]
+                keep = _box_d2(p[pid], lo[node], hi[node]) <= reach2[pid, None]
+                parent, child = np.nonzero(keep)
+                pid, node = pid[parent], node[parent] * FANOUT + child
+                depth += 1
+            self._settle(p, pid, node, d, cp)
 
-            best_d[remaining] = upper
-            best_cp[remaining] = cp_best
-            if kk == m:
-                break
-            # triangles past the kk-th centroid are at least this far away
-            certified = upper <= d_c[:, -1] - self.max_spread
-            remaining = remaining[~certified]
-            k *= 16
-        return best_d, best_cp
+    def _reach2(self, p: np.ndarray) -> np.ndarray:
+        """Squared pruning radius of each point: its exact distance to the
+        triangle with the nearest centroid, widened for rounding. It never
+        falls below that triangle's box distance, so the triangle and all
+        its ancestors survive every test."""
+        _, near = self._tree.query(p)
+        diff = p - closest_point_on_triangles(p, self._triangles[near])
+        reach = np.sqrt(np.einsum("ij,ij->i", diff, diff)) * (1.0 + SLACK) + self._atol
+        lo, hi = (c.reshape(-1, 3)[near] for c in self._levels[-1])
+        return np.maximum(reach * reach, _box_d2(p, lo, hi))
+
+    def _settle(self, p, pid, tri, d, cp) -> None:
+        """Evaluate the (point, triangle) pairs of the points pid[0]..pid[-1]
+        and write each point's winner: the smallest squared distance, then
+        the lowest face index."""
+        q = p[pid]
+        c = closest_point_on_triangles(q, self._triangles[tri])
+        diff = q - c
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        first = pid[0]
+        group = pid - first
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        tie = d2 == np.minimum.reduceat(d2, starts)[group]
+        face = self._face[tri]
+        lowest = np.minimum.reduceat(np.where(tie, face, len(self._face)), starts)
+        win = tie & (face == lowest[group])
+        d[first:pid[-1] + 1] = np.sqrt(d2[win])
+        cp[first:pid[-1] + 1] = c[win]

@@ -139,11 +139,12 @@ def image_consistency(pred: TriMesh, gt: TriMesh, size: int = render.IMAGE_SIZE)
     _require_finite(pred, "pred")
     _require_finite(gt, "gt")
     cams, target = render.scene_cameras(pred, gt)
+    normals_p, normals_g = pred.face_normals(), gt.face_normals()
 
     scores = []
     for k, eye in enumerate(cams):
-        sil_p, nrm_p = render.render_view(pred, eye, target, size)
-        sil_g, nrm_g = render.render_view(gt, eye, target, size)
+        sil_p, nrm_p = render._render(pred, normals_p, eye, target, size)
+        sil_g, nrm_g = render._render(gt, normals_g, eye, target, size)
         union = sil_p | sil_g
         if not union.any():
             warnings.warn(f"view {k}: both silhouettes empty, view skipped")

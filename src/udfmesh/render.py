@@ -86,6 +86,13 @@ def look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
 def render_view(mesh: TriMesh, eye, target, size: int = IMAGE_SIZE,
                 vfov_deg: float = VFOV_DEG) -> tuple[np.ndarray, np.ndarray]:
     """Render one view; returns (silhouette bool (H,W), normal map (H,W,3))."""
+    return _render(mesh, mesh.face_normals(), eye, target, size, vfov_deg)
+
+
+def _render(mesh: TriMesh, face_normals: np.ndarray, eye, target, size: int,
+            vfov_deg: float = VFOV_DEG) -> tuple[np.ndarray, np.ndarray]:
+    """``render_view`` with the mesh's unit face normals given, so several
+    views of one mesh compute them once."""
     if mesh.is_empty():
         return np.zeros((size, size), dtype=bool), np.zeros((size, size, 3))
 
@@ -102,7 +109,7 @@ def render_view(mesh: TriMesh, eye, target, size: int = IMAGE_SIZE,
         start = stop
 
     # an uncovered pixel (winner -1) takes the zero row at the end
-    table = np.vstack([mesh.face_normals()[face], np.zeros((1, 3))])
+    table = np.vstack([face_normals[face], np.zeros((1, 3))])
     normals = np.take(table, winner, axis=0).reshape(size, size, 3)
     return (winner >= 0).reshape(size, size), normals
 
@@ -125,9 +132,11 @@ def _drawn_faces(mesh, eye, target, size, vfov_deg):
     inv_z = 1.0 / depths
 
     # clipped pixel box, edge vectors and doubled signed area
+    # (clamped in float first: a projection past the int64 range would cast
+    # to INT_MIN)
     p0, p1, p2 = px[:, 0], px[:, 1], px[:, 2]
-    lo = np.maximum(np.floor(np.minimum(np.minimum(p0, p1), p2)).astype(int), 0)
-    hi = np.minimum(np.ceil(np.maximum(np.maximum(p0, p1), p2)).astype(int), size - 1)
+    lo = np.floor(np.clip(np.minimum(np.minimum(p0, p1), p2), 0, size)).astype(int)
+    hi = np.ceil(np.clip(np.maximum(np.maximum(p0, p1), p2), -1, size - 1)).astype(int)
     v0 = p1 - p0
     v1 = p2 - p0
     den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]

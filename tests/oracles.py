@@ -5,7 +5,9 @@ paths it validates: corner sums of every cell of a whole lattice, a
 per-cell signed marching cubes with its own interpolation and
 coordinate-keyed welding, an O(n^2) Chamfer scan, a loop-based MLP forward
 pass, per-vertex / per-edge loop versions of vertex normals, outward
-border vectors and border smoothing, and a per-face loop z-buffer. Only
+border vectors and border smoothing, a per-face loop z-buffer, and the
+exact mesh distance as a sweep over the faces with a closest-point kernel
+that evaluates every region for every pair. Only
 the published case tables and the camera frame (``look_at``) are shared,
 since they are fixed reference data, not what the oracles check.
 """
@@ -260,8 +262,9 @@ def loop_render_view(mesh, eye, target, size: int = IMAGE_SIZE,
 
     for f in np.flatnonzero(ok):
         p = px[f]
-        lo = np.floor(p.min(axis=0)).astype(int)
-        hi = np.ceil(p.max(axis=0)).astype(int)
+        # clamped before the cast, which past int64 would give INT_MIN
+        lo = np.floor(np.clip(p.min(axis=0), 0, size)).astype(int)
+        hi = np.ceil(np.clip(p.max(axis=0), -1, size - 1)).astype(int)
         x0, y0 = np.maximum(lo, 0)
         x1, y1 = np.minimum(hi, size - 1)
         if x1 < x0 or y1 < y0:
@@ -292,3 +295,65 @@ def loop_render_view(mesh, eye, target, size: int = IMAGE_SIZE,
         sil[gi, gj] = True
         normals[gi, gj] = face_normals[f]
     return sil, normals
+
+
+def settle_closest_points(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Closest point on triangle i to point i: all seven Voronoi-region
+    candidates are built for every row, then each row takes the first
+    region (A, B, C, AB, AC, BC, interior) whose test holds."""
+    p = np.asarray(points, dtype=np.float64)
+    tri = np.asarray(triangles, dtype=np.float64)
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    ab, ac = b - a, c - a
+    ap, bp, cp = p - a, p - b, p - c
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+
+    out = np.empty_like(p)
+    done = np.zeros(len(p), dtype=bool)
+
+    def settle(mask, value):
+        fresh = mask & ~done
+        out[fresh] = value[fresh]
+        done[fresh] = True
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+
+    settle((d1 <= 0) & (d2 <= 0), a)
+    settle((d3 >= 0) & (d4 <= d3), b)
+    settle((d6 >= 0) & (d5 <= d6), c)
+    vc = d1 * d4 - d3 * d2
+    settle((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + ratio(d1, d1 - d3)[:, None] * ab)
+    vb = d5 * d2 - d1 * d6
+    settle((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + ratio(d2, d2 - d6)[:, None] * ac)
+    va = d3 * d6 - d5 * d4
+    settle((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+           b + ratio(d4 - d3, (d4 - d3) + (d5 - d6))[:, None] * (c - b))
+    inv = ratio(np.ones(len(p)), va + vb + vc)
+    settle(np.ones(len(p), dtype=bool),
+           a + (vb * inv)[:, None] * ab + (vc * inv)[:, None] * ac)
+    return out
+
+
+def sweep_mesh_distance(vertices: np.ndarray, faces: np.ndarray,
+                        points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and closest point of each point by one pass over the faces
+    in face order: a face replaces the best only when its squared distance
+    is strictly smaller, so among exact ties the lowest face index wins."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    triangles = np.asarray(vertices, dtype=np.float64)[np.asarray(faces)]
+    n = len(points)
+    best_d2 = np.full(n, np.inf)
+    best_cp = np.zeros((n, 3))
+    for tri in triangles:
+        cp = settle_closest_points(points, np.broadcast_to(tri, (n, 3, 3)))
+        d2 = np.einsum("ij,ij->i", points - cp, points - cp)
+        better = d2 < best_d2
+        best_d2[better] = d2[better]
+        best_cp[better] = cp[better]
+    return np.sqrt(best_d2), best_cp

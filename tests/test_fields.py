@@ -6,7 +6,9 @@ import pytest
 from udfmesh import (MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
                      SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
                      parametric_field, primitives, random_mlp)
-from udfmesh.distance import MeshDistanceIndex
+from udfmesh.distance import FANOUT, MeshDistanceIndex
+
+from oracles import sweep_mesh_distance
 
 
 def all_parametric_fields():
@@ -48,19 +50,16 @@ class TestMeshUdf:
         assert cp[:, 0].min() >= -0.5 and cp[:, 0].max() <= 0.5
 
     def test_tree_path_matches_brute_force(self, rng):
-        # cylinder has enough triangles to trigger the kd-tree path
+        # cylinder has enough triangles for the box hierarchy to prune
         mesh = primitives.open_cylinder(segments=24, rings=6)
         index = MeshDistanceIndex(mesh.vertices, mesh.faces)
-        assert index._tree is not None
+        assert mesh.n_faces > FANOUT
         pts = rng.uniform(-1, 1, (500, 3))
-        d_tree, cp_tree = index._query_tree(pts)
-        d_brute, cp_brute = index._query_brute(pts)
+        d_tree, cp_tree = index.query(pts)
+        d_brute, cp_brute = sweep_mesh_distance(mesh.vertices, mesh.faces, pts)
         np.testing.assert_array_equal(d_tree, d_brute)
-        # closest points may differ only at exact ties; both must realize d
-        np.testing.assert_allclose(np.linalg.norm(pts - cp_tree, axis=1), d_tree,
-                                   atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(pts - cp_brute, axis=1), d_brute,
-                                   atol=1e-12)
+        # ties go to the lowest face index, as in the sweep
+        np.testing.assert_array_equal(cp_tree, cp_brute)
 
     def test_clamp(self, unit_patch_field, rng):
         field = MeshUdf(unit_patch_field.mesh, d_max=0.2)

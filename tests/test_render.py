@@ -11,8 +11,8 @@ the pixel anyway, and no render would show it.
 import numpy as np
 import pytest
 
-from udfmesh import TriMesh, empty_mesh, primitives
-from udfmesh.render import (VFOV_DEG, _CHUNK_PAIRS, _column_spans, _drawn_faces,
+from udfmesh import TriMesh, empty_mesh, image_consistency, primitives
+from udfmesh.render import (VFOV_DEG, _CHUNK_PAIRS, _column_spans, _drawn_faces, _render,
                             render_view, scene_cameras)
 
 from oracles import loop_render_view
@@ -134,6 +134,46 @@ def test_off_screen_faces(size):
     assert_same_render(TriMesh(verts, faces), EYE, TARGET, size)
     sil, _ = assert_same_render(TriMesh(far, mesh.faces), EYE, TARGET, size)
     assert not sil.any()
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_far_vertex_right_of_the_image_draws_like_its_mirror(size):
+    # two vertices on the centre column and one 1e150 to the side, which
+    # projects past the int64 pixel range; camera x is world -x, so world
+    # x = -1e150 lies right of the image. The pixel geometry is exactly
+    # mirrored, so the two faces fill mirrored pixels.
+    near = [[0.0, -0.4, 0.0], [0.0, 0.5, 0.3]]
+    sils = []
+    for x in (1e150, -1e150):
+        mesh = TriMesh(np.array([[x, 0.1, 0.2], *near]), np.array([[0, 1, 2]]))
+        sil, _ = assert_same_render(mesh, AXIS_EYE, TARGET, size)
+        sils.append(sil)
+    left, right = sils
+    assert right.any()
+    assert right.tobytes() == left[::-1].tobytes()
+
+
+def test_face_normals_computed_once_per_mesh(monkeypatch):
+    pred, gt = soup(np.random.default_rng(7), 60), soup(np.random.default_rng(8), 50)
+    unit = []                  # meshes whose unit normals were computed
+    original = TriMesh.face_normals
+
+    def counted(self, normalize=True):
+        if normalize:
+            unit.append(self)
+        return original(self, normalize)
+    monkeypatch.setattr(TriMesh, "face_normals", counted)
+    score = image_consistency(pred, gt, 97)
+    assert len(unit) == 2 and unit[0] is pred and unit[1] is gt
+    monkeypatch.setattr(TriMesh, "face_normals", original)
+    # the private path draws what the public one draws
+    cams, target = scene_cameras(pred, gt)
+    for eye in cams:
+        for mesh in (pred, gt):
+            ours = _render(mesh, mesh.face_normals(), eye, target, 97)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(ours, render_view(mesh, eye, target, 97)))
+    assert 0.0 < score <= 100.0
 
 
 @pytest.mark.parametrize("size", (256, 512))
@@ -300,8 +340,7 @@ def near_eye(rng, size, n=12):
 def far_vertices(rng, size):
     """Faces with one vertex projecting 1e20 to 1e300 px left of or below
     the image, so some span bounds overflow and those faces keep their
-    whole box on that side. (Far right or above, a face's box overflows
-    the integer pixel range and the face is not drawn at all.)"""
+    whole box on that side."""
     verts, faces = [], []
     for far in (1e20, 1e150, 1e300):
         near = rng.uniform(-0.6, 0.6, (2, 2))
