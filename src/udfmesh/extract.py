@@ -17,8 +17,10 @@ baseline) runs ``_mesh_cells`` on signed values, and ``pseudo_sign_cell`` and
 Every path reads one format, a sorted cell list with the 8 exact corner
 values of each cell, from ``grid.sample_band`` (which skips what a field's
 Lipschitz bound rules out) or, for given samples, ``grid._lattice_band``.
-Only candidate cells are signed, and without given samples gradients are
-evaluated at the corners of the candidate cells alone.
+Only candidate cells are signed, and gradients are read at the corners of
+the candidate cells alone: evaluated there from the field, or from given
+samples through ``GridSamples.gradients``, which evaluates them there too
+unless the samples were built with gradients.
 """
 
 from __future__ import annotations
@@ -157,6 +159,15 @@ def _mesh_cells(spec: GridSpec, cells_ijk: np.ndarray, s: np.ndarray):
     return TriMesh(vertices, faces), ids, cut, vertex_ids
 
 
+def _cell_gradients(gradients, spec: GridSpec, ijk: np.ndarray) -> np.ndarray:
+    """(m, 8, 3) gradients at the corners of the cells with min corners
+    ``ijk``, in ``CORNER_OFFSETS`` order, from one ``gradients(ids)`` call on
+    the sorted distinct corner ids."""
+    corner_ids = spec.corner_linear_index(ijk[:, None, :] + CORNER_OFFSETS)
+    needed, inverse = np.unique(corner_ids, return_inverse=True)
+    return gradients(needed)[inverse.reshape(corner_ids.shape)]
+
+
 def pseudo_sign_cell(samples: GridSamples, cell_index: int,
                      grad_norm_min: float = DEFAULT_GRAD_NORM_MIN,
                      force_anchor: int | None = None) -> PseudoSignedCell:
@@ -169,7 +180,8 @@ def pseudo_sign_cell(samples: GridSamples, cell_index: int,
     """
     ijk = samples.spec.cell_origin_ijk(np.array([cell_index]))
     s, anchor, has_anchor = _pseudo_sign(_cell_corners(samples.u, ijk),
-                                         _cell_corners(samples.g, ijk),
+                                         _cell_gradients(samples.gradients,
+                                                         samples.spec, ijk),
                                          grad_norm_min, force_anchor)
     if not has_anchor[0]:
         return PseudoSignedCell(cell_index, None, None, SKIP_NO_ANCHOR)
@@ -197,8 +209,9 @@ def extract_mesh_detailed(field, spec: GridSpec,
     Without ``samples``, ``sample_band`` hands over the cells that may pass
     the cull test with their exact corner values, evaluating a field that
     declares a Lipschitz bound only where the bound cannot rule the test
-    out; gradients are then evaluated only at the corners of candidate
-    cells. The output is the same as from dense ``samples``.
+    out. Either way gradients are read only at the corners of candidate
+    cells: from the field, or through ``samples.gradients``. The output is
+    the same as from dense ``samples``.
 
     An edge cut in one sign-assigned cell but uncut in another is counted in
     ``edge_disagreements``. Neighboring cells can disagree near borders when
@@ -223,15 +236,13 @@ def extract_mesh_detailed(field, spec: GridSpec,
     stats.candidate_cells = len(cand)
     stats.culled_cells = stats.total_cells - len(cand)
     ijk = spec.cell_origin_ijk(cand)
+    t1 = time.perf_counter()
     if samples is None:
-        t1 = time.perf_counter()
-        corner_ids = spec.corner_linear_index(ijk[:, None, :] + CORNER_OFFSETS)
-        needed, inverse = np.unique(corner_ids, return_inverse=True)
-        g = _sample_corners(field, spec, threads, True, needed)[1]
-        g8 = g[inverse.reshape(corner_ids.shape)]
-        stats.timings["gradients"] = time.perf_counter() - t1
+        g8 = _cell_gradients(lambda ids: _sample_corners(field, spec, threads, True, ids)[1],
+                             spec, ijk)
     else:
-        g8 = _cell_corners(samples.g, ijk)
+        g8 = _cell_gradients(samples.gradients, spec, ijk)
+    stats.timings["gradients"] = time.perf_counter() - t1
 
     s, _, has_anchor = _pseudo_sign(u8, g8, grad_norm_min)
     crossing = (s < 0).any(axis=1)
@@ -247,8 +258,7 @@ def extract_mesh_detailed(field, spec: GridSpec,
         hit = np.zeros(len(cut_ids), dtype=bool)
         hit[pos[cut_ids[pos] == uncut]] = True
         stats.edge_disagreements = int(hit.sum())
-    stats.timings["extract"] = (time.perf_counter() - t0
-                                - stats.timings.get("gradients", 0.0))
+    stats.timings["extract"] = time.perf_counter() - t0 - stats.timings["gradients"]
     return mesh, stats
 
 

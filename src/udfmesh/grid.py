@@ -1,11 +1,13 @@
 """Regular-lattice sampling of a field and candidate-cell selection.
 
-``sample_grid`` and ``sample_grid_values`` evaluate every corner.
-``sample_band`` hands extraction and inflation the cells whose values may
-meet a band, sorted, with their 8 exact corner values; for a field with a
-Lipschitz bound it evaluates only the blocks the bound cannot rule out.
-Every query runs in the fixed chunks of ``_evaluate``, lattice corners
-through ``_sample_corners``, so results do not depend on the worker count.
+``sample_grid`` and ``sample_grid_values`` evaluate the value at every
+corner; ``sample_grid`` evaluates gradients only where they are read,
+through ``GridSamples.gradients``. ``sample_band`` hands extraction and
+inflation the cells whose values may meet a band, sorted, with their 8
+exact corner values; for a field with a Lipschitz bound it evaluates only
+the blocks the bound cannot rule out. Every query runs in the fixed chunks
+of ``_evaluate``, lattice corners through ``_sample_corners``, so results
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,22 +103,41 @@ class GridSpec:
         return ijk[..., 0] + m * (ijk[..., 1] + m * ijk[..., 2])
 
 
-@dataclass
 class GridSamples:
-    """Field values and gradients at every lattice corner.
+    """Field values at every lattice corner, gradients where they are read.
 
-    ``u`` has shape (N, N, N) indexed [i, j, k] = (x, y, z); ``g`` appends
-    the component axis.
+    ``u`` has shape (N, N, N) indexed [i, j, k] = (x, y, z). Gradients are
+    either given as ``g``, shape (N, N, N, 3), or evaluated on demand from
+    ``field`` with ``threads`` workers: ``gradients(ids)`` at some corners,
+    ``g`` over the whole lattice on first read.
     """
 
-    spec: GridSpec
-    u: np.ndarray
-    g: np.ndarray
+    def __init__(self, spec: GridSpec, u: np.ndarray, g: np.ndarray | None = None,
+                 field: UdfField | None = None, threads: int | None = None):
+        n = spec.resolution
+        assert u.shape == (n, n, n)
+        if g is None and field is None:
+            raise ValueError("GridSamples needs gradients or a field to evaluate them")
+        self.spec, self.u, self.field = spec, u, field
+        self.threads = resolve_threads(threads)
+        self._given = g is not None
+        if self._given:
+            assert g.shape == (n, n, n, 3)
+            self.__dict__["g"] = g          # fills the cache: never evaluated
 
-    def __post_init__(self):
-        n = self.spec.resolution
-        assert self.u.shape == (n, n, n)
-        assert self.g.shape == (n, n, n, 3)
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Gradients at every corner, (N, N, N, 3): the given ones, else
+        evaluated over the whole lattice on first read."""
+        return _sample_corners(self.field, self.spec, self.threads, grad=True)[1]
+
+    def gradients(self, ids: np.ndarray) -> np.ndarray:
+        """(len(ids), 3) gradients at sorted x-fastest corner ids: gathered
+        from given ``g``, else evaluated at those corners alone."""
+        if self._given:
+            n = self.spec.resolution
+            return self.g[ids % n, ids // n % n, ids // (n * n)]
+        return _sample_corners(self.field, self.spec, self.threads, True, ids)[1]
 
 
 CHUNK = 32768                 # points per query; bounds one query's memory
@@ -190,9 +212,11 @@ def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
 
 
 def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> GridSamples:
-    """Evaluate value and gradient at every corner of the lattice."""
-    u, g = _sample_corners(field, spec, threads, grad=True)
-    return GridSamples(spec, u, g)
+    """Evaluate the value at every corner of the lattice. The returned
+    samples keep ``field`` and ``threads`` and evaluate gradients only where
+    they are read; a non-finite value raises ``NonFiniteFieldError`` here."""
+    u = _sample_corners(field, spec, threads, grad=False)[0]
+    return GridSamples(spec, u, field=field, threads=threads)
 
 
 def sample_grid_values(field: UdfField, spec: GridSpec,

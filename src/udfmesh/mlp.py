@@ -40,15 +40,16 @@ def positional_encoding(pts: np.ndarray, order: int) -> np.ndarray:
     return np.concatenate(feats, axis=1)
 
 
-def _encoding_jacobian_apply(pts: np.ndarray, order: int, grad_enc: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. encoded features back to the raw coordinates."""
+def _encoding_jacobian_apply(enc: np.ndarray, order: int, grad_enc: np.ndarray) -> np.ndarray:
+    """Pull a gradient w.r.t. encoded features back to the raw coordinates,
+    reading the sines and cosines from the encoding ``enc`` itself."""
     g = grad_enc[:, 0:3].copy()
     col = 3
     for k in range(order):
         w = (2.0 ** k) * np.pi
-        g += grad_enc[:, col:col + 3] * (w * np.cos(w * pts))
+        g += grad_enc[:, col:col + 3] * (w * enc[:, col + 3:col + 6])
         col += 3
-        g += grad_enc[:, col:col + 3] * (-w * np.sin(w * pts))
+        g += grad_enc[:, col:col + 3] * (-w * enc[:, col - 3:col])
         col += 3
     return g
 
@@ -115,12 +116,15 @@ class MlpUdf(UdfField):
 
     # -- forward / reverse ---------------------------------------------------
 
-    def _forward(self, pts: np.ndarray, want_grad: bool):
-        """One forward pass, plus the reverse pass when ``want_grad`` is set.
+    def _forward(self, pts: np.ndarray, keep: bool):
+        """One forward pass: ``(raw, enc, acts)``, the network output before
+        the absolute value, the encoded coordinates and, with ``keep``, the
+        output of every layer (rectified for hidden layers; None without
+        ``keep``, so a values-only pass holds one layer at a time).
 
-        Returns ``(u, grad_in, pre_acts)``: the field value, the gradient of
-        u w.r.t. the network input (encoded coordinates, then latent; None
-        without ``want_grad``) and the pre-activation of every layer.
+        Biases and rectifiers apply in place. A rectified activation is
+        positive exactly where its pre-activation is, so the kept layers
+        give the reverse pass and ``hidden_sign_pattern`` their masks.
         """
         enc = positional_encoding(pts, self.encoding_order)
         if self.latent_dim:
@@ -128,35 +132,39 @@ class MlpUdf(UdfField):
             h = np.concatenate([enc, lat], axis=1)
         else:
             h = enc
-        pre_acts = []
+        acts = [] if keep else None
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = h @ w.T + b
-            pre_acts.append(a)
-            h = np.maximum(a, 0.0) if i < len(self.weights) - 1 else a
-        raw = h[:, 0]
+            h = h @ w.T
+            h += b
+            if i < last:
+                np.maximum(h, 0.0, out=h)
+            if keep:
+                acts.append(h)
+        return h[:, 0], enc, acts
+
+    def _query(self, pts, grad, sens):
+        raw, enc, acts = self._forward(pts, keep=grad or sens)
         u = np.abs(raw)
         clamped = None
         if self.d_max is not None:
             clamped = u >= self.d_max
             u = np.minimum(u, self.d_max)
-        if not want_grad:
-            return u, None, pre_acts
+        if not (grad or sens):
+            return u, None, None
 
+        # reverse pass: gradient of u w.r.t. the network input
         delta = np.sign(raw)[:, None]
         if clamped is not None:
             delta = np.where(clamped[:, None], 0.0, delta)
         for i in range(len(self.weights) - 1, 0, -1):
             delta = delta @ self.weights[i]
-            delta = delta * (pre_acts[i - 1] > 0)
+            delta *= acts[i - 1] > 0
         grad_in = delta @ self.weights[0]
-        return u, grad_in, pre_acts
-
-    def _query(self, pts, grad, sens):
-        u, grad_in, _ = self._forward(pts, want_grad=grad or sens)
         enc_cols = encoded_dim(self.encoding_order)
         g = s = None
         if grad:
-            g = _encoding_jacobian_apply(pts, self.encoding_order, grad_in[:, :enc_cols])
+            g = _encoding_jacobian_apply(enc, self.encoding_order, grad_in[:, :enc_cols])
         if sens:
             s = grad_in[:, enc_cols:].copy()
         return u, g, s
@@ -168,8 +176,8 @@ class MlpUdf(UdfField):
         constant across the probe points (the network is piecewise linear).
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        pre_acts = self._forward(pts, want_grad=False)[2]
-        return np.concatenate([a > 0 for a in pre_acts], axis=1)
+        acts = self._forward(pts, keep=True)[2]
+        return np.concatenate([a > 0 for a in acts], axis=1)
 
     # -- serialization ---------------------------------------------------------
 

@@ -4,7 +4,9 @@ Everything here is deliberately written plain and separate from the library
 paths it validates: corner sums of every cell of a whole lattice, a
 per-cell signed marching cubes with its own interpolation and
 coordinate-keyed welding, an O(n^2) Chamfer scan, a loop-based MLP forward
-pass, per-vertex / per-edge loop versions of vertex normals, outward
+pass, the allocating MLP forward and reverse pass that recomputes the
+encoding's sines and cosines, lattice sampling that evaluates values and
+gradients at every corner in one pass, per-vertex / per-edge loop versions of vertex normals, outward
 border vectors and border smoothing, a per-face loop z-buffer, and the
 exact mesh distance as a sweep over the faces with a closest-point kernel
 that evaluates every region for every pair. Only
@@ -121,6 +123,78 @@ def scripted_mlp_forward(data: dict, point) -> float:
     if data.get("d_max") is not None:
         u = min(u, data["d_max"])
     return u
+
+
+def allocating_mlp_query(net, pts: np.ndarray, grad: bool, sens: bool):
+    """``MlpUdf`` queries as one allocating pass: every layer's bias add and
+    rectifier make new arrays, every pre-activation is kept, and the
+    encoding Jacobian recomputes its sines and cosines. Returns
+    (u, g, s, pre_acts) with g and s None unless asked for."""
+    order = net.encoding_order
+    feats = [pts]
+    for k in range(order):
+        w = (2.0 ** k) * np.pi
+        feats.append(np.sin(w * pts))
+        feats.append(np.cos(w * pts))
+    h = np.concatenate(feats, axis=1)
+    if net.latent_dim:
+        h = np.concatenate([h, np.broadcast_to(net.latent, (len(pts), net.latent_dim))],
+                           axis=1)
+    pre_acts = []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = h @ w.T + b
+        pre_acts.append(a)
+        h = np.maximum(a, 0.0) if i < len(net.weights) - 1 else a
+    raw = h[:, 0]
+    u = np.abs(raw)
+    clamped = None
+    if net.d_max is not None:
+        clamped = u >= net.d_max
+        u = np.minimum(u, net.d_max)
+    if not (grad or sens):
+        return u, None, None, pre_acts
+
+    delta = np.sign(raw)[:, None]
+    if clamped is not None:
+        delta = np.where(clamped[:, None], 0.0, delta)
+    for i in range(len(net.weights) - 1, 0, -1):
+        delta = delta @ net.weights[i]
+        delta = delta * (pre_acts[i - 1] > 0)
+    grad_in = delta @ net.weights[0]
+    enc_cols = 3 * (1 + 2 * order)
+    g = s = None
+    if grad:
+        g = grad_in[:, 0:3].copy()
+        col = 3
+        for k in range(order):
+            w = (2.0 ** k) * np.pi
+            g += grad_in[:, col:col + 3] * (w * np.cos(w * pts))
+            col += 3
+            g += grad_in[:, col:col + 3] * (-w * np.sin(w * pts))
+            col += 3
+    if sens:
+        s = grad_in[:, enc_cols:].copy()
+    return u, g, s, pre_acts
+
+
+def allocating_hidden_sign_pattern(net, pts: np.ndarray) -> np.ndarray:
+    """``MlpUdf.hidden_sign_pattern`` from every kept pre-activation."""
+    pre_acts = allocating_mlp_query(net, pts, False, False)[3]
+    return np.concatenate([a > 0 for a in pre_acts], axis=1)
+
+
+def eager_sample_grid(field, spec, chunk: int):
+    """Value and gradient at every lattice corner from one ``eval_grad``
+    pass over x-fastest chunks of ``chunk`` corners, as ``GridSamples``
+    with the gradients given."""
+    from udfmesh.grid import GridSamples
+    n = spec.resolution
+    pts = spec.corner_points()
+    u, g = np.empty(n ** 3), np.empty((n ** 3, 3))
+    for s in range(0, n ** 3, chunk):
+        u[s:s + chunk], g[s:s + chunk] = field.eval_grad(pts[s:s + chunk])
+    return GridSamples(spec, np.ascontiguousarray(u.reshape(n, n, n).transpose(2, 1, 0)),
+                       np.ascontiguousarray(g.reshape(n, n, n, 3).transpose(2, 1, 0, 3)))
 
 
 def vertex_sets_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-6) -> bool:

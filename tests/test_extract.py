@@ -72,6 +72,55 @@ class TestPseudoSignCell:
                                       [0.3] * 4 + [0.7] * 4)
 
 
+class RaisingField(SphereShellUdf):
+    """A field that fails every query."""
+
+    def _query(self, pts, grad, sens):
+        raise AssertionError("given gradients were re-queried from the field")
+
+
+class TestGivenGradients:
+    """Gradients given to ``GridSamples`` win over its field: they are
+    gathered, never evaluated again."""
+
+    def test_pseudo_sign_cell_reads_given_gradients(self):
+        samples, spec = slab_cell(plane_z=0.3)
+        given = GridSamples(spec, samples.u, samples.g, field=RaisingField(0.5))
+        cell = pseudo_sign_cell(given, 0)
+        assert cell.anchor == 0
+        np.testing.assert_array_equal(cell.values, [0.3] * 4 + [-0.7] * 4)
+        ids = np.arange(8)
+        np.testing.assert_array_equal(given.gradients(ids),
+                                      samples.g.transpose(2, 1, 0, 3).reshape(8, 3))
+
+    def test_extraction_reads_given_gradients(self):
+        spec = generic_spec(17)
+        dense = sample_grid(SphereShellUdf(0.5), spec)
+        ref_mesh, ref_stats = extract_mesh_detailed(SphereShellUdf(0.5), spec,
+                                                    samples=dense)
+        field = RaisingField(0.5)
+        given = GridSamples(spec, dense.u, dense.g, field=field)
+        mesh, stats = extract_mesh_detailed(field, spec, samples=given)
+        assert mesh.n_faces > 0
+        assert mesh.vertices.tobytes() == ref_mesh.vertices.tobytes()
+        assert mesh.faces.tobytes() == ref_mesh.faces.tobytes()
+        assert stats.triangulated_cells == ref_stats.triangulated_cells
+
+    def test_prescribed_gradients_drive_extraction(self):
+        # the slab cell's signs come from its prescribed gradients alone
+        samples, spec = slab_cell(plane_z=0.25)
+        field = RaisingField(0.5)
+        mesh, stats = extract_mesh_detailed(
+            field, spec, samples=GridSamples(spec, samples.u, samples.g, field=field))
+        assert stats.triangulated_cells == 1
+        np.testing.assert_allclose(mesh.vertices[:, 2], 0.25)
+
+    def test_samples_need_gradients_or_a_field(self):
+        spec = GridSpec(2)
+        with pytest.raises(ValueError, match="gradients or a field"):
+            GridSamples(spec, np.zeros((2, 2, 2)))
+
+
 class TestTriangulateCell:
     def test_slab_crossing_at_exact_plane_height(self):
         samples, spec = slab_cell(plane_z=0.5)

@@ -3,14 +3,15 @@ import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf,
                      RectanglePatchUdf, SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
+                     TriMesh,
                      candidate_cells, dump_grid, extract_mesh_detailed, inflate_mesh,
                      load_grid_dump, mesh_signed_grid, primitives, random_mlp,
                      sample_grid, sample_grid_values)
 from udfmesh.grid import CHUNK, NonFiniteFieldError, sample_band
 from udfmesh.mc_tables import CORNER_OFFSETS
 
-from conftest import generic_spec
-from oracles import cell_corner_sums
+from conftest import generic_spec, wavy_patch_mlp
+from oracles import cell_corner_sums, eager_sample_grid
 
 
 def one_field_per_family():
@@ -135,6 +136,81 @@ class TestSampleGrid:
         with pytest.raises(ValueError,
                            match=r"non-finite value at corner \(-1, -1, -1\)"):
             sampler(MlpUdf.from_dict(data), GridSpec(5))
+
+    @pytest.mark.parametrize("d_max", [None, 0.2], ids=["plain", "dmax"])
+    @pytest.mark.parametrize("layer", [0, -1], ids=["hidden", "output"])
+    def test_nan_bias_raises_from_values_pass(self, layer, d_max):
+        field = random_mlp(hidden=(8, 8), encoding_order=2, latent_dim=2,
+                           d_max=d_max, seed=0)
+        field.biases[layer][0] = np.nan
+        if layer == 0:
+            field.weights[1][:, 0] = 1.0      # the NaN unit reaches the output
+        with pytest.raises(NonFiniteFieldError, match="non-finite value at corner"):
+            sample_grid(field, GridSpec(5))
+
+
+def garment_like_mesh():
+    """Open tube, a disk above it and a two-layer flap below it."""
+    parts = [primitives.open_cylinder(0.45, -0.55, 0.25, 16, 4),
+             primitives.disk(0.3, 0.45, 16),
+             primitives.parallel_patches(0.5, -0.8, -0.77, 2)]
+    offsets = np.cumsum([0] + [p.n_vertices for p in parts[:-1]])
+    return TriMesh(np.vstack([p.vertices for p in parts]),
+                   np.vstack([p.faces + o for p, o in zip(parts, offsets)]))
+
+
+def oracle_fields():
+    garment = MeshUdf(garment_like_mesh())
+    fields = {
+        "plane": TranslatedPlaneUdf(0.17),
+        "sphere": SphereShellUdf(0.45),
+        "patch": RectanglePatchUdf(0.4, -0.5, (-0.45, 0.55), 0.08),
+        "cylinder": OpenCylinderUdf(0.55, (-0.5, 0.4)),
+        "garment": garment,
+        "translated-garment": TranslatedMeshUdf(garment, (0.03, -0.05, 0.02)),
+        "wavy-patch": wavy_patch_mlp(2),
+    }
+    for seed in (1, 2, 3):
+        for latent in (0, 4):
+            for d_max in (None, 0.45):
+                net = random_mlp(hidden=(16, 16), encoding_order=3, latent_dim=latent,
+                                 d_max=d_max, seed=seed)
+                name = f"mlp-{seed}" + "-latent" * bool(latent) + "-dmax" * bool(d_max)
+                fields[name] = net.with_latent([0.3, -0.2, 0.1, 0.25][:latent])
+    return fields
+
+
+ORACLE_FIELDS = oracle_fields()
+
+
+class TestGradientsOnDemand:
+    """``sample_grid`` evaluates values only; its gradients, read where
+    extraction needs them or over the whole lattice, are the bits of the
+    eager one-pass sampler."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+    def test_dense_extraction_matches_eager_sampler(self, name):
+        field, spec = ORACLE_FIELDS[name], generic_spec(33)
+        mesh, stats = extract_mesh_detailed(field, spec, samples=sample_grid(field, spec))
+        ref_mesh, ref_stats = extract_mesh_detailed(
+            field, spec, samples=eager_sample_grid(field, spec, CHUNK))
+        assert mesh.n_faces > 0
+        assert_same_mesh(mesh, ref_mesh)
+        for key in EXTRACT_COUNTERS:
+            assert getattr(stats, key) == getattr(ref_stats, key), key
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("name", ["sphere", "garment", "mlp-1-latent-dmax",
+                                      "wavy-patch"])
+    def test_whole_lattice_gradients_match_eager_sampler(self, name, threads):
+        field, spec = ORACLE_FIELDS[name], generic_spec(33)
+        assert spec.resolution ** 3 > CHUNK
+        ref = eager_sample_grid(field, spec, CHUNK)
+        samples = sample_grid(field, spec, threads=threads)
+        assert_bitwise(samples.u, ref.u)
+        assert_bitwise(samples.g, ref.g)
+        ids = np.array([0, 5, 1000, 33 ** 3 - 1])
+        assert_bitwise(samples.gradients(ids), ref.gradients(ids))
 
 
 LIPSCHITZ_FAMILIES = [name for name, field in FAMILIES.items()

@@ -6,7 +6,9 @@ import pytest
 from udfmesh import MlpUdf, WeightFileError, random_mlp
 from udfmesh.mlp import encoded_dim
 
-from oracles import scripted_mlp_forward
+from conftest import wavy_patch_mlp
+from oracles import (allocating_hidden_sign_pattern, allocating_mlp_query,
+                     scripted_mlp_forward)
 
 
 def zero_network(final_bias: float, encoding_order: int = 2) -> MlpUdf:
@@ -120,6 +122,67 @@ class TestGradients:
         assert stable.sum() > 50
         denom = np.maximum(np.abs(fd[stable]), 1e-9)
         assert (np.abs(sens[stable] - fd[stable]) / denom).max() < 1e-3
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+# networks with and without a latent code and a d_max clamp, and the
+# benchmark's 3x128 wavy patch
+ORACLE_NETS = {
+    "plain": lambda: random_mlp(hidden=(16, 16), encoding_order=4, seed=2),
+    "latent": lambda: random_mlp(hidden=(16, 12), encoding_order=3, latent_dim=5,
+                                 seed=4).with_latent([0.3, -0.1, 0.2, 0.05, -0.4]),
+    "dmax": lambda: random_mlp(hidden=(16, 16), encoding_order=5, d_max=0.2, seed=5),
+    "latent-dmax": lambda: random_mlp(hidden=(8, 8, 8), encoding_order=2, latent_dim=3,
+                                      d_max=0.3, seed=6).with_latent([0.2, 0.1, -0.3]),
+    "wavy-patch": lambda: wavy_patch_mlp(1),
+}
+
+
+class TestInPlacePass:
+    """The in-place forward pass and the reverse pass that reads the
+    encoding's sines and cosines give the bits of the allocating pass."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_NETS))
+    def test_queries_match_allocating_pass(self, name, rng):
+        field = ORACLE_NETS[name]()
+        pts = rng.uniform(-1, 1, (2000, 3))
+        u, g, s, _ = allocating_mlp_query(field, pts, True, True)
+        assert_bitwise(field.eval(pts), u)
+        assert_bitwise(field.grad_x(pts), g)
+        ug = field.eval_grad(pts)
+        assert_bitwise(ug[0], u)
+        assert_bitwise(ug[1], g)
+        if field.param_dim:
+            assert_bitwise(field.param_sensitivity(pts), s)
+        if field.d_max is not None:
+            clamped = u == field.d_max
+            assert 0 < clamped.sum() < len(pts)
+            assert (g[clamped] == 0).all()
+
+    @pytest.mark.parametrize("name", list(ORACLE_NETS))
+    def test_hidden_sign_pattern_matches_allocating_pass(self, name, rng):
+        field = ORACLE_NETS[name]()
+        pts = rng.uniform(-1, 1, (500, 3))
+        pattern = field.hidden_sign_pattern(pts)
+        assert pattern.shape == (500, sum(field.layer_sizes[1:]))
+        np.testing.assert_array_equal(pattern, allocating_hidden_sign_pattern(field, pts))
+
+    def test_nan_bias_propagates_as_before(self, rng):
+        field = random_mlp(hidden=(8, 8), encoding_order=2, latent_dim=2,
+                           d_max=0.4, seed=3)
+        field.biases[1][2] = np.nan
+        pts = rng.uniform(-1, 1, (100, 3))
+        u, g, s, _ = allocating_mlp_query(field, pts, True, True)
+        assert np.isnan(u).all()
+        assert_bitwise(field.eval(pts), u)
+        assert_bitwise(field.grad_x(pts), g)
+        assert_bitwise(field.param_sensitivity(pts), s)
+        np.testing.assert_array_equal(field.hidden_sign_pattern(pts),
+                                      allocating_hidden_sign_pattern(field, pts))
 
 
 class TestSerialization:
