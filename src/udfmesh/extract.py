@@ -15,12 +15,18 @@ baseline) runs ``_mesh_cells`` on signed values, and ``pseudo_sign_cell`` and
 ``triangulate_cell`` run them on a single cell.
 
 Every path reads one format, a sorted cell list with the 8 exact corner
-values of each cell, from ``grid.sample_band`` (which skips what a field's
-Lipschitz bound rules out) or, for given samples, ``grid._lattice_band``.
-Only candidate cells are signed, and gradients are read at the corners of
-the candidate cells alone: evaluated there from the field, or from given
-samples through ``GridSamples.gradients``, which evaluates them there too
-unless the samples were built with gradients.
+values of each cell and its corner table, from ``grid.sample_band`` (which
+skips what a field's Lipschitz bound rules out) or, for given samples,
+``grid._lattice_band`` and ``grid._corner_table``. Only candidate cells are
+signed. Their corners are picked out of the corner table with a mask and a
+rank, and gradients are read there in one call: evaluated from the field,
+or through ``GridSamples.gradients``, which evaluates them there too unless
+the samples were built with gradients.
+
+For sorted cells every column of the (m, 12) lattice edge ids is sorted as
+well, so one stable sort of those 12 runs groups the entries of each
+lattice edge. That grouping welds the cut edges into vertices and counts
+the edges cut in one cell but not in another.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (GridSamples, GridSpec, _cell_corners, _cull, _lattice_band,
+from .grid import (GridSamples, GridSpec, _cell_corners, _corner_subtable,
+                   _corner_table, _cull, _group_runs, _lattice_band, _min_corner_ids,
                    _sample_corners, sample_band)
 from .mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE,
                         EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
@@ -57,6 +64,11 @@ _CASE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.int64)
 # TRI_TABLE as one array, each row padded with -1 to the longest case
 _TRI_ROWS = np.array([tri + [-1] * (15 - len(tri)) for tri in TRI_TABLE],
                      dtype=np.int64)
+
+# the 12 edge columns by axis, and within an axis by falling low-corner
+# offset: the cells that share a lattice edge then hold it lowest cell first
+_EDGE_RUNS = np.lexsort((-(EDGE_BASE @ (1, 2, 4)), EDGE_AXIS))
+_RUN_OF_EDGE = np.argsort(_EDGE_RUNS)
 
 
 @dataclass
@@ -122,50 +134,54 @@ def _pseudo_sign(u8: np.ndarray, g8: np.ndarray, grad_norm_min: float,
     return np.where(dots < 0, -u8, u8), anchor, has_anchor
 
 
-def _mesh_cells(spec: GridSpec, cells_ijk: np.ndarray, s: np.ndarray):
+def _mesh_cells(spec: GridSpec, cells: np.ndarray, s: np.ndarray):
     """Case-table triangulation and weld of m cells with signed corner values.
 
     Cells must come sorted by linear index; faces then come out cell by
     cell in table order. Every cut lattice edge becomes one vertex, ordered
-    by global edge id. Interpolating each edge from its low corner to its
-    high one makes the position independent of which incident cell computes
-    it. Returns (mesh, ids, cut, vertex_ids): the mesh, the (m, 12) global
-    edge ids of every cell, the mask of those its signs cut, and the sorted
-    global edge id of every vertex.
+    by global edge id and computed by the lowest cell that cuts it.
+    Interpolating each edge from its low corner to its high one makes the
+    position independent of which incident cell computes it. Returns (mesh,
+    vertex_ids, disagreements): the mesh, the sorted global edge id of every
+    vertex, and the number of those edges that some other of these cells
+    leaves uncut.
     """
-    n = spec.resolution
-    ids = EDGE_AXIS * n ** 3 + spec.corner_linear_index(cells_ijk[:, None, :] + EDGE_BASE)
+    n, m = spec.resolution, len(cells)
+    lo, hi = EDGE_CORNERS_LOW_HIGH[_EDGE_RUNS].T
     neg = s < 0
-    lo, hi = EDGE_CORNERS_LOW_HIGH.T
-    cut = neg[:, lo] != neg[:, hi]
+    cut = (neg[:, lo] != neg[:, hi]).T          # (12, m), one run per row
     if not cut.any():
-        return empty_mesh(), ids, cut, ids[cut]
+        return empty_mesh(), np.zeros(0, dtype=np.int64), 0
 
-    cell_of, edge_of = np.nonzero(cut)
-    vertex_ids, first, inverse = np.unique(ids[cut], return_index=True, return_inverse=True)
-    c, ca, cb = cell_of[first], lo[edge_of[first]], hi[edge_of[first]]
+    offsets = EDGE_AXIS * n ** 3 + EDGE_BASE @ (1, n, n * n)
+    order, ids, first, edge = _group_runs(
+        (offsets[_EDGE_RUNS, None] + _min_corner_ids(spec, cells)).ravel())
+    # per lattice edge: the cells that cut it, of all the cells that hold it
+    on = cut.ravel()[order]
+    cuts = np.bincount(edge[on], minlength=len(first))
+    some = cuts > 0
+    disagreements = int((some & (cuts < np.diff(first, append=len(on)))).sum())
+
+    # the cut entries in edge order; the first of each edge makes its vertex
+    pos = np.flatnonzero(on)
+    rep = pos[np.searchsorted(pos, first[some])]
+    vertex_ids = ids[rep]
+    run, c = np.divmod(order[rep], m)
+    ca, cb = lo[run], hi[run]
+    ijk = spec.cell_origin_ijk(cells[c])
     axes = np.stack([spec.axis_coords(a) for a in range(3)])
-    pa = axes[np.arange(3), cells_ijk[c] + CORNER_OFFSETS[ca]]
-    pb = axes[np.arange(3), cells_ijk[c] + CORNER_OFFSETS[cb]]
+    pa = axes[np.arange(3), ijk + CORNER_OFFSETS[ca]]
+    pb = axes[np.arange(3), ijk + CORNER_OFFSETS[cb]]
     t = s[c, ca] / (s[c, ca] - s[c, cb])
     vertices = pa + t[:, None] * (pb - pa)
 
-    vertex_of = np.full(cut.shape, -1, dtype=np.int64)
-    vertex_of[cut] = inverse
+    vertex_of = np.empty(12 * m, dtype=np.int64)    # (run, cell), read where cut
+    vertex_of[order[pos]] = (np.cumsum(some) - 1)[edge[pos]]
     tri = _TRI_ROWS[neg @ _CASE_BITS]
     has_tri = tri >= 0
     face_cell = np.broadcast_to(np.arange(len(tri))[:, None], tri.shape)[has_tri]
-    faces = vertex_of[face_cell, tri[has_tri]].reshape(-1, 3)
-    return TriMesh(vertices, faces), ids, cut, vertex_ids
-
-
-def _cell_gradients(gradients, spec: GridSpec, ijk: np.ndarray) -> np.ndarray:
-    """(m, 8, 3) gradients at the corners of the cells with min corners
-    ``ijk``, in ``CORNER_OFFSETS`` order, from one ``gradients(ids)`` call on
-    the sorted distinct corner ids."""
-    corner_ids = spec.corner_linear_index(ijk[:, None, :] + CORNER_OFFSETS)
-    needed, inverse = np.unique(corner_ids, return_inverse=True)
-    return gradients(needed)[inverse.reshape(corner_ids.shape)]
+    faces = vertex_of.reshape(12, m)[_RUN_OF_EDGE[tri[has_tri]], face_cell].reshape(-1, 3)
+    return TriMesh(vertices, faces), vertex_ids, disagreements
 
 
 def pseudo_sign_cell(samples: GridSamples, cell_index: int,
@@ -178,11 +194,11 @@ def pseudo_sign_cell(samples: GridSamples, cell_index: int,
     no such corner is skipped. ``force_anchor`` overrides the choice, which
     the anchor-invariance tests rely on.
     """
-    ijk = samples.spec.cell_origin_ijk(np.array([cell_index]))
-    s, anchor, has_anchor = _pseudo_sign(_cell_corners(samples.u, ijk),
-                                         _cell_gradients(samples.gradients,
-                                                         samples.spec, ijk),
-                                         grad_norm_min, force_anchor)
+    cells = np.array([cell_index])
+    ids, index = _corner_table(samples.spec, cells)
+    s, anchor, has_anchor = _pseudo_sign(
+        _cell_corners(samples.u, samples.spec.cell_origin_ijk(cells)),
+        samples.gradients(ids)[index], grad_norm_min, force_anchor)
     if not has_anchor[0]:
         return PseudoSignedCell(cell_index, None, None, SKIP_NO_ANCHOR)
     skipped = None if (s[0] < 0).any() else SKIP_NO_CROSSING
@@ -193,8 +209,7 @@ def triangulate_cell(cell: PseudoSignedCell, spec: GridSpec) -> np.ndarray:
     """Triangles for one pseudo-signed cell as (n, 3, 3) vertex positions."""
     if cell.values is None:
         return np.zeros((0, 3, 3))
-    ijk = spec.cell_origin_ijk(np.array([cell.cell_index]))
-    mesh = _mesh_cells(spec, ijk, cell.values[None, :])[0]
+    mesh = _mesh_cells(spec, np.array([cell.cell_index]), cell.values[None, :])[0]
     return mesh.vertices[mesh.faces]
 
 
@@ -222,11 +237,12 @@ def extract_mesh_detailed(field, spec: GridSpec,
     upper = cull_factor * spec.cell_diagonal
     t0 = time.perf_counter()
     if samples is None:
-        cells, u8, stats.corners_evaluated = sample_band(field, spec, -np.inf, upper,
-                                                         threads)
+        cells, u8, table, stats.corners_evaluated = sample_band(field, spec, -np.inf,
+                                                                upper, threads)
         stats.corner_source = CORNERS_DENSE if field.lipschitz is None else CORNERS_BOUND
     else:
         cells, u8 = _lattice_band(samples.u, -np.inf, upper)
+        table = _corner_table(spec, cells)
         stats.corner_source = CORNERS_GIVEN
     stats.timings["sample"] = time.perf_counter() - t0
 
@@ -235,13 +251,13 @@ def extract_mesh_detailed(field, spec: GridSpec,
     cand, u8 = cells[keep], u8[keep]
     stats.candidate_cells = len(cand)
     stats.culled_cells = stats.total_cells - len(cand)
-    ijk = spec.cell_origin_ijk(cand)
     t1 = time.perf_counter()
+    ids, index = _corner_subtable(table, keep)
+    del table                     # not read again: free it before the weld
     if samples is None:
-        g8 = _cell_gradients(lambda ids: _sample_corners(field, spec, threads, True, ids)[1],
-                             spec, ijk)
+        g8 = _sample_corners(field, spec, threads, True, ids)[1][index]
     else:
-        g8 = _cell_gradients(samples.gradients, spec, ijk)
+        g8 = samples.gradients(ids)[index]
     stats.timings["gradients"] = time.perf_counter() - t1
 
     s, _, has_anchor = _pseudo_sign(u8, g8, grad_norm_min)
@@ -250,14 +266,7 @@ def extract_mesh_detailed(field, spec: GridSpec,
     stats.skipped_no_crossing = int((~crossing).sum())
     stats.triangulated_cells = int(crossing.sum())
 
-    mesh, ids, cut, cut_ids = _mesh_cells(spec, ijk[has_anchor], s)
-    # edges cut in some cell (one per vertex): mark those also uncut in another
-    if len(cut_ids):
-        uncut = ids[~cut]
-        pos = np.minimum(np.searchsorted(cut_ids, uncut), len(cut_ids) - 1)
-        hit = np.zeros(len(cut_ids), dtype=bool)
-        hit[pos[cut_ids[pos] == uncut]] = True
-        stats.edge_disagreements = int(hit.sum())
+    mesh, _, stats.edge_disagreements = _mesh_cells(spec, cand[has_anchor], s)
     stats.timings["extract"] = time.perf_counter() - t0 - stats.timings["gradients"]
     return mesh, stats
 
@@ -284,4 +293,4 @@ def _mesh_signed_cells(spec: GridSpec, cells: np.ndarray, s: np.ndarray) -> TriM
     only cells with 1 to 7 negative corners hold surface."""
     inside = (s < 0).sum(axis=1)
     active = (inside > 0) & (inside < 8)
-    return _mesh_cells(spec, spec.cell_origin_ijk(cells[active]), s[active])[0]
+    return _mesh_cells(spec, cells[active], s[active])[0]

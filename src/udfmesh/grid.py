@@ -8,6 +8,14 @@ exact corner values; for a field with a Lipschitz bound it evaluates only
 the blocks the bound cannot rule out. Every query runs in the fixed chunks
 of ``_evaluate``, lattice corners through ``_sample_corners``, so results
 do not depend on the worker count.
+
+``sample_band`` also hands on its corner table (``_corner_table``): the
+sorted distinct corner ids of its cells and each cell's (m, 8) index into
+them. A cell's min corner id i + n j + n^2 k rises with its cell id, so for
+sorted cells every column of the (m, 8) corner ids is already sorted, and
+one stable sort of those 8 runs deduplicates them. Later stages pick the
+corners of a subset of the cells out of the table with a mask and a rank
+(``_corner_subtable``) instead of sorting again.
 """
 
 from __future__ import annotations
@@ -252,12 +260,62 @@ def _lattice_band(values: np.ndarray, lower: float, upper: float
     return cells, _cell_corners(values, np.column_stack([i, j, k]))
 
 
+def _min_corner_ids(spec: GridSpec, cells: np.ndarray) -> np.ndarray:
+    """x-fastest id i + n j + n^2 k of the min corner of each linear cell id;
+    it rises with the cell id."""
+    m = spec.resolution - 1
+    return cells + cells // m + spec.resolution * (cells // (m * m))
+
+
+def _group_runs(flat: np.ndarray):
+    """Stable sort of an array made of presorted runs: (order, values, first,
+    group), the sorting permutation, the sorted values, the sorted position
+    of the first entry of each distinct value, and the rank of every sorted
+    entry's value among the distinct ones. Equal values keep their run order."""
+    order = np.argsort(flat, kind="stable")
+    values = flat[order]
+    head = np.empty(len(values), dtype=bool)
+    head[:1] = True
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    group = np.repeat(np.arange(len(first)), np.diff(first, append=len(values)))
+    return order, values, first, group
+
+
+def _corner_table(spec: GridSpec, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct corners of sorted cells: (ids, index), their sorted
+    x-fastest corner ids and the (m, 8) position in ``ids`` of each cell's
+    corners in ``CORNER_OFFSETS`` order, the arrays
+    ``np.unique(corner_ids, return_inverse=True)`` gives. Each column of the
+    corner ids rises with the cell id, so one stable sort merges 8 presorted
+    runs; memory grows with the cells, not with the lattice."""
+    n = spec.resolution
+    order, values, first, group = _group_runs(
+        ((CORNER_OFFSETS @ (1, n, n * n))[:, None] + _min_corner_ids(spec, cells)).ravel())
+    index = np.empty(len(order), dtype=np.int64)
+    index[order] = group
+    return values[first], index.reshape(8, -1).T
+
+
+def _corner_subtable(table: tuple[np.ndarray, np.ndarray], keep: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The corner table of the cells ``keep`` selects, picked out of
+    ``table`` by marking the corners they use and ranking the marks."""
+    ids, index = table
+    index = index[keep]
+    used = np.zeros(len(ids), dtype=bool)
+    used[index] = True
+    return ids[used], (np.cumsum(used) - 1)[index]
+
+
 def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
-                threads: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+                threads: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], int]:
     """The cells whose values may meet the band [lower, upper]: (cells, u8,
-    evaluated), the sorted linear cell ids, their (m, 8) exact corner values
-    in ``CORNER_OFFSETS`` order and the number of corners evaluated. Every
-    cell left out has all 8 corners above ``upper`` or all below ``lower``.
+    table, evaluated), the sorted linear cell ids, their (m, 8) exact corner
+    values in ``CORNER_OFFSETS`` order, their corner table
+    (``_corner_table``) and the number of corners evaluated. Every cell left
+    out has all 8 corners above ``upper`` or all below ``lower``.
 
     A field with ``lipschitz = L`` moves by at most L per unit distance, so
     its value u(c) at the centre of a block of s^3 cells bounds the whole
@@ -276,7 +334,8 @@ def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
         s *= 2
     if field.lipschitz is None or s < 2:
         values = _sample_corners(field, spec, threads, grad=False)[0]
-        return (*_lattice_band(values, lower, upper), n ** 3)
+        cells, u8 = _lattice_band(values, lower, upper)
+        return cells, u8, _corner_table(spec, cells), n ** 3
 
     lo, step = np.asarray(spec.bounds_min), spec.step
     axis = np.arange(0, m, s)
@@ -298,11 +357,9 @@ def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
             break
 
     cells = np.sort(spec.cell_linear_index(blocks))
-    corner_ids = spec.corner_linear_index(spec.cell_origin_ijk(cells)[:, None, :]
-                                          + CORNER_OFFSETS)
-    ids, inverse = np.unique(corner_ids, return_inverse=True)
+    ids, index = _corner_table(spec, cells)
     u = _sample_corners(field, spec, threads, False, ids)[0]
-    return cells, u[inverse.reshape(corner_ids.shape)], len(ids)
+    return cells, u[index], (ids, index), len(ids)
 
 
 def _cull(u8: np.ndarray, spec: GridSpec, cull_factor: float) -> np.ndarray:
@@ -325,6 +382,8 @@ def candidate_cells(samples, spec: GridSpec | None = None,
     """
     if isinstance(samples, GridSamples):
         spec, values = spec or samples.spec, samples.u
+    elif spec is None:
+        raise ValueError("candidate_cells of a value array needs spec")
     else:
         values = samples
     cells, u8 = _lattice_band(values, -np.inf, cull_factor * spec.cell_diagonal)

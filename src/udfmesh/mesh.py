@@ -128,10 +128,7 @@ class TriMesh:
     def face_normals(self, normalize: bool = True) -> np.ndarray:
         tri = self.vertices[self.faces]
         n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        if normalize:
-            norms = np.linalg.norm(n, axis=1, keepdims=True)
-            n = np.divide(n, norms, out=np.zeros_like(n), where=norms > 0)
-        return n
+        return _unit_rows(n) if normalize else n
 
     def face_areas(self) -> np.ndarray:
         return 0.5 * np.linalg.norm(self.face_normals(normalize=False), axis=1)
@@ -162,10 +159,19 @@ class TriMesh:
     def select_faces(self, keep: np.ndarray) -> "TriMesh":
         """Sub-mesh of the kept faces, orphaned vertices dropped, reindexed."""
         faces = self.faces[np.asarray(keep)]
-        used = np.unique(faces)
+        mark = np.zeros(self.n_vertices, dtype=bool)
+        mark[faces] = True
+        used = np.flatnonzero(mark)
         remap = np.full(self.n_vertices, -1, dtype=np.int64)
         remap[used] = np.arange(len(used))
         return TriMesh(self.vertices[used], remap[faces])
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of ``v`` scaled to unit length; zero rows stay zero. Each row's
+    result depends on that row alone."""
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.divide(v, norms, out=np.zeros_like(v), where=norms > 0)
 
 
 def empty_mesh() -> TriMesh:

@@ -70,7 +70,12 @@ def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
     if mesh.is_empty():
         raise ValueError("cannot sample an empty mesh")
     _require_finite(mesh, "mesh")
-    cross = mesh.face_normals(normalize=False)
+    return _sample_surface(mesh, mesh.face_normals(normalize=False), n, seed)
+
+
+def _sample_surface(mesh: TriMesh, cross: np.ndarray, n: int, seed: int):
+    """``sample_surface`` of a non-empty mesh with finite vertices, given its
+    unnormalised face normals ``cross``."""
     norms = np.linalg.norm(cross, axis=1, keepdims=True)
     areas = 0.5 * norms[:, 0]
     total = areas.sum()
@@ -197,5 +202,5 @@ def inflate_mesh(field: UdfField, spec: GridSpec, eps: float | None = None,
         eps = DEFAULT_EPS_FACTOR * float(spec.step.max())
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cells, u8, _ = sample_band(field, spec, eps, eps, threads)
+    cells, u8, _, _ = sample_band(field, spec, eps, eps, threads)
     return _mesh_signed_cells(spec, cells, u8 - eps)

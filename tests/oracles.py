@@ -9,9 +9,14 @@ encoding's sines and cosines, lattice sampling that evaluates values and
 gradients at every corner in one pass, per-vertex / per-edge loop versions of vertex normals, outward
 border vectors and border smoothing, a per-face loop z-buffer, and the
 exact mesh distance as a sweep over the faces with a closest-point kernel
-that evaluates every region for every pair. Only
-the published case tables and the camera frame (``look_at``) are shared,
-since they are fixed reference data, not what the oracles check.
+that evaluates every region for every pair, and extraction as it ran
+before the corner table: ``np.unique`` over (m, 8, 3) and (m, 12, 3)
+corner coordinates for the corner table, the gradient corners and the
+weld, and a ``searchsorted`` of every uncut edge for the disagreement
+count. Only the published case tables and the camera frame (``look_at``)
+are shared, since they are fixed reference data, not what the oracles
+check; the extraction oracle also reuses the library stages it does not
+check (``sample_band``'s cells and values, the cull and the pseudo-sign).
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import math
 
 import numpy as np
 
-from udfmesh.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
+from udfmesh.mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, EDGE_CORNERS,
+                               EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
 from udfmesh.render import IMAGE_SIZE, VFOV_DEG, look_at
 
 
@@ -431,3 +437,101 @@ def sweep_mesh_distance(vertices: np.ndarray, faces: np.ndarray,
         best_d2[better] = d2[better]
         best_cp[better] = cp[better]
     return np.sqrt(best_d2), best_cp
+
+
+def unique_corner_table(spec, cells) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, index) of the corners of ``cells``: ``np.unique`` with
+    ``return_inverse`` over their (m, 8) corner ids, in CORNER_OFFSETS order."""
+    corner_ids = spec.corner_linear_index(spec.cell_origin_ijk(np.asarray(cells))[:, None, :]
+                                          + CORNER_OFFSETS)
+    ids, inverse = np.unique(corner_ids, return_inverse=True)
+    return ids, inverse.reshape(corner_ids.shape)
+
+
+def unique_cell_gradients(gradients, spec, ijk: np.ndarray) -> np.ndarray:
+    """(m, 8, 3) gradients at the corners of the cells with min corners
+    ``ijk`` from one ``gradients(ids)`` call on their ``np.unique`` ids."""
+    corner_ids = spec.corner_linear_index(ijk[:, None, :] + CORNER_OFFSETS)
+    needed, inverse = np.unique(corner_ids, return_inverse=True)
+    return gradients(needed)[inverse.reshape(corner_ids.shape)]
+
+
+def unique_weld(spec, cells_ijk: np.ndarray, s: np.ndarray):
+    """Case-table triangulation of sorted cells, welded by ``np.unique`` over
+    the cut edge ids in (cell, edge) order: each vertex is computed by the
+    first cell that cuts its edge. The disagreements are the cut edge ids
+    that ``searchsorted`` finds among the uncut ones. Returns (mesh,
+    vertex_ids, disagreements)."""
+    from udfmesh.mesh import TriMesh, empty_mesh
+    n = spec.resolution
+    ids = EDGE_AXIS * n ** 3 + spec.corner_linear_index(cells_ijk[:, None, :] + EDGE_BASE)
+    neg = s < 0
+    lo, hi = EDGE_CORNERS_LOW_HIGH.T
+    cut = neg[:, lo] != neg[:, hi]
+    if not cut.any():
+        return empty_mesh(), ids[cut], 0
+
+    cell_of, edge_of = np.nonzero(cut)
+    vertex_ids, first, inverse = np.unique(ids[cut], return_index=True, return_inverse=True)
+    c, ca, cb = cell_of[first], lo[edge_of[first]], hi[edge_of[first]]
+    axes = np.stack([spec.axis_coords(a) for a in range(3)])
+    pa = axes[np.arange(3), cells_ijk[c] + CORNER_OFFSETS[ca]]
+    pb = axes[np.arange(3), cells_ijk[c] + CORNER_OFFSETS[cb]]
+    t = s[c, ca] / (s[c, ca] - s[c, cb])
+    vertices = pa + t[:, None] * (pb - pa)
+
+    vertex_of = np.full(cut.shape, -1, dtype=np.int64)
+    vertex_of[cut] = inverse
+    faces = []
+    for cell, case in enumerate(neg @ (1 << np.arange(8))):
+        faces.extend(vertex_of[cell, TRI_TABLE[case]])
+    uncut = ids[~cut]
+    pos = np.minimum(np.searchsorted(vertex_ids, uncut), len(vertex_ids) - 1)
+    hit = np.zeros(len(vertex_ids), dtype=bool)
+    hit[pos[vertex_ids[pos] == uncut]] = True
+    return TriMesh(vertices, np.array(faces, dtype=np.int64)), vertex_ids, int(hit.sum())
+
+
+def unique_extract_mesh_detailed(field, spec, cull_factor: float = 1.0,
+                                 grad_norm_min: float = 0.3, threads=None, samples=None):
+    """``extract_mesh_detailed`` with the sort-based stages: the candidate
+    corners by ``unique_cell_gradients`` and the weld and disagreement count
+    by ``unique_weld``. Cells and corner values come from ``sample_band``
+    or, for given samples, from ``_lattice_band``. Timings stay empty."""
+    from udfmesh.extract import (CORNERS_BOUND, CORNERS_DENSE, CORNERS_GIVEN,
+                                 ExtractStats, _pseudo_sign)
+    from udfmesh.grid import _cull, _lattice_band, _sample_corners, sample_band
+    stats = ExtractStats(total_cells=spec.n_cells, total_corners=spec.resolution ** 3)
+    upper = cull_factor * spec.cell_diagonal
+    if samples is None:
+        cells, u8, _, stats.corners_evaluated = sample_band(field, spec, -np.inf, upper,
+                                                            threads)
+        stats.corner_source = CORNERS_DENSE if field.lipschitz is None else CORNERS_BOUND
+        gradients = lambda ids: _sample_corners(field, spec, threads, True, ids)[1]  # noqa: E731
+    else:
+        cells, u8 = _lattice_band(samples.u, -np.inf, upper)
+        stats.corner_source = CORNERS_GIVEN
+        gradients = samples.gradients
+    keep = _cull(u8, spec, cull_factor)
+    cand, u8 = cells[keep], u8[keep]
+    stats.candidate_cells = len(cand)
+    stats.culled_cells = stats.total_cells - len(cand)
+    ijk = spec.cell_origin_ijk(cand)
+    g8 = unique_cell_gradients(gradients, spec, ijk)
+    s, _, has_anchor = _pseudo_sign(u8, g8, grad_norm_min)
+    crossing = (s < 0).any(axis=1)
+    stats.skipped_no_anchor = int((~has_anchor).sum())
+    stats.skipped_no_crossing = int((~crossing).sum())
+    stats.triangulated_cells = int(crossing.sum())
+    mesh, _, stats.edge_disagreements = unique_weld(spec, ijk[has_anchor], s)
+    return mesh, stats
+
+
+def unique_inflate_mesh(field, spec, eps: float):
+    """``inflate_mesh`` with the weld of ``unique_weld``."""
+    from udfmesh.grid import sample_band
+    cells, u8, _, _ = sample_band(field, spec, eps, eps)
+    s = u8 - eps
+    inside = (s < 0).sum(axis=1)
+    active = (inside > 0) & (inside < 8)
+    return unique_weld(spec, spec.cell_origin_ijk(cells[active]), s[active])[0]

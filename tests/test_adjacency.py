@@ -163,3 +163,18 @@ class TestTriMeshTables:
         count, nbrs, face = closed.border_table()
         assert not count.any()
         assert (nbrs == -1).all() and (face == -1).all()
+
+    def test_select_faces_matches_unique_reindex(self):
+        mesh = extract_mesh(SphereShellUdf(0.45), generic_spec(17))
+        # an orphan vertex the selection must drop as well
+        mesh = TriMesh(np.vstack([mesh.vertices, [[9.0, 9.0, 9.0]]]), mesh.faces)
+        rng = np.random.default_rng(4)
+        for p in (0.0, 0.01, 0.5, 1.0):
+            keep = rng.random(mesh.n_faces) < p
+            faces = mesh.faces[keep]
+            used = np.unique(faces)
+            remap = np.full(mesh.n_vertices, -1)
+            remap[used] = np.arange(len(used))
+            sub = mesh.select_faces(keep)
+            assert sub.vertices.tobytes() == mesh.vertices[used].tobytes()
+            np.testing.assert_array_equal(sub.faces, remap[faces])

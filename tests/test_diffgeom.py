@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from udfmesh import (GridSpec, MeshUdf, MlpUdf, RectanglePatchUdf,
-                     SphereShellUdf, TranslatedPlaneUdf, TriMesh, UdfField,
+from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
+                     SphereShellUdf, TranslatedPlaneUdf, TriMesh, UdfField, diffgeom,
                      assemble_jacobian, border_vertex_derivative,
                      directional_gradcheck, extract_mesh, fit_point_cloud,
                      interior_vertex_derivative, primitives, vertex_normals)
@@ -10,6 +10,7 @@ from udfmesh.diffgeom import outward_vectors
 from udfmesh.mlp import encoded_dim
 
 from conftest import generic_spec
+from oracles import unique_extract_mesh_detailed
 
 
 class DiskPatchUdf(UdfField):
@@ -361,3 +362,63 @@ class TestFitPointCloud:
                                iters=40, lr=0.01, lambda_reg=0.5, seed=0)
         assert abs(tied.params[0]) < abs(free.params[0])
         assert tied.trace[-1][2] > 0
+
+
+def cylinder_fit():
+    rng = np.random.default_rng(1)
+    theta = rng.uniform(0.0, 2 * np.pi, 400)
+    target = np.column_stack([0.45 * np.cos(theta), 0.45 * np.sin(theta),
+                              rng.uniform(-0.6, 0.6, 400)])
+    return (OpenCylinderUdf(0.6, (-0.6, 0.6)), target,
+            GridSpec(65, (-1.0037,) * 3, (0.9963,) * 3), dict(iters=20, lr=0.01))
+
+
+def sphere_fit():
+    v = np.random.default_rng(7).normal(size=(200, 3))
+    return (SphereShellUdf(0.6), 0.4 * v / np.linalg.norm(v, axis=1, keepdims=True),
+            generic_spec(33), dict(iters=10, lr=0.005))
+
+
+def patch_fit():
+    rng = np.random.default_rng(3)
+    target = np.column_stack([rng.uniform(-0.5, 0.45, 300), rng.uniform(-0.5, 0.5, 300),
+                              np.full(300, 0.05)])
+    return (RectanglePatchUdf(0.2, -0.5, (-0.5, 0.5), 0.05), target, GridSpec(33),
+            dict(iters=10, lr=0.01))
+
+
+def mlp_latent_fit():
+    net, w_lat = wavy_plane_net()
+    rng = np.random.default_rng(5)
+    xy = rng.uniform(-0.7, 0.7, (200, 2))
+    target = np.column_stack([xy, 0.05 * np.sin(np.pi * xy[:, 0]) + 0.08])
+    return net, target, generic_spec(33), dict(iters=8, lr=0.02, adaptive=True)
+
+
+@pytest.mark.filterwarnings("ignore:.*border vertices join")
+@pytest.mark.parametrize("make", [cylinder_fit, sphere_fit, patch_fit, mlp_latent_fit],
+                         ids=["cylinder", "sphere", "patch", "mlp-latent"])
+def test_fit_matches_sort_based_extraction(monkeypatch, make):
+    field, target, spec, kwargs = make()
+    fit = fit_point_cloud(field, target, spec, **kwargs)
+    monkeypatch.setattr(diffgeom, "extract_mesh",
+                        lambda f, s: unique_extract_mesh_detailed(f, s)[0])
+    ref = fit_point_cloud(field, target, spec, **kwargs)
+    assert len(fit.trace) == kwargs["iters"] and not fit.events
+    assert fit.params.tobytes() == ref.params.tobytes()
+    assert np.array(fit.trace).tobytes() == np.array(ref.trace).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:.*border vertices join")
+def test_face_normals_once_per_fit_iteration(monkeypatch):
+    calls = []
+    original = TriMesh.face_normals
+
+    def counted(self, normalize=True):
+        calls.append(normalize)
+        return original(self, normalize)
+
+    monkeypatch.setattr(TriMesh, "face_normals", counted)
+    field, target, spec, kwargs = patch_fit()
+    fit = fit_point_cloud(field, target, spec, iters=3, lr=0.01)
+    assert calls == [False] * len(fit.trace) == [False] * 3

@@ -8,7 +8,7 @@ from udfmesh import (GridSamples, GridSpec, SphereShellUdf,
 from udfmesh.extract import SKIP_NO_ANCHOR, SKIP_NO_CROSSING, _mesh_cells
 
 from conftest import generic_spec
-from oracles import signed_marching_cubes, vertex_sets_match
+from oracles import signed_marching_cubes, unique_weld, vertex_sets_match
 
 
 def single_cell_samples(u_corners, g_corners):
@@ -205,10 +205,11 @@ class TestWeld:
     def test_single_cell_vertex_count_equals_cut_edges(self):
         samples, spec = slab_cell()
         cell = pseudo_sign_cell(samples, 0)
-        ijk = spec.cell_origin_ijk(np.array([0]))
-        mesh, ids, cut, vertex_ids = _mesh_cells(spec, ijk, cell.values[None])
-        assert mesh.n_vertices == len(np.unique(ids[cut])) == 4
-        np.testing.assert_array_equal(vertex_ids, np.unique(ids[cut]))
+        mesh, vertex_ids, disagreements = _mesh_cells(spec, np.array([0]), cell.values[None])
+        ref_ids = unique_weld(spec, spec.cell_origin_ijk(np.array([0])), cell.values[None])[1]
+        assert mesh.n_vertices == len(ref_ids) == 4
+        np.testing.assert_array_equal(vertex_ids, ref_ids)
+        assert disagreements == 0
 
     def test_shared_edge_positions_bitwise_identical(self):
         # mesh every crossing cell on its own: a lattice edge cut by several
@@ -221,9 +222,10 @@ class TestWeld:
             cell = pseudo_sign_cell(samples, int(c))
             if cell.skipped is not None:
                 continue
-            mesh, ids, cut, vertex_ids = _mesh_cells(
-                spec, spec.cell_origin_ijk(np.array([c])), cell.values[None])
-            np.testing.assert_array_equal(vertex_ids, np.unique(ids[cut]))
+            mesh, vertex_ids, _ = _mesh_cells(spec, np.array([c]), cell.values[None])
+            np.testing.assert_array_equal(
+                vertex_ids,
+                unique_weld(spec, spec.cell_origin_ijk(np.array([c])), cell.values[None])[1])
             edge_ids.append(vertex_ids)    # the vertex order
             positions.append(mesh.vertices)
         ids, pos = np.concatenate(edge_ids), np.concatenate(positions)

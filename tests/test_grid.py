@@ -297,7 +297,7 @@ class TestSampleBand:
         field, spec = SphereShellUdf(0.5), generic_spec(33)
         exact = flat_values(field, spec)
         for lower, upper in BANDS:
-            cells, u8, evaluated = sample_band(field, spec, lower, upper)
+            cells, u8, _, evaluated = sample_band(field, spec, lower, upper)
             assert (np.diff(cells) > 0).all()
             corner_ids = cell_corner_ids(spec, cells)
             assert evaluated == len(np.unique(corner_ids)) < spec.resolution ** 3
@@ -308,7 +308,7 @@ class TestSampleBand:
                              ids=["bounded", "whole-lattice"])
     def test_cells_left_out_lie_outside_band(self, make_field, band):
         field, spec, (lower, upper) = make_field(0.5), generic_spec(33), band
-        cells, u8, _ = sample_band(field, spec, lower, upper)
+        cells, u8, _, _ = sample_band(field, spec, lower, upper)
         rest = np.setdiff1d(np.arange(spec.n_cells), cells)
         rest8 = flat_values(field, spec)[cell_corner_ids(spec, rest)]
         above, below = (rest8 > upper).all(axis=1), (rest8 < lower).all(axis=1)
@@ -319,9 +319,9 @@ class TestSampleBand:
 
     def test_thread_count_does_not_change_certified_values(self):
         spec = generic_spec(129)
-        a_cells, a, evaluated = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01,
-                                            threads=1)
-        b_cells, b, _ = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01, threads=4)
+        a_cells, a, _, evaluated = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01,
+                                               threads=1)
+        b_cells, b, _, _ = sample_band(SphereShellUdf(0.5), spec, 0.01, 0.01, threads=4)
         assert evaluated > CHUNK
         np.testing.assert_array_equal(a_cells, b_cells)
         np.testing.assert_array_equal(a, b)
@@ -339,10 +339,10 @@ class TestSampleBand:
             return np.flatnonzero(mask.transpose(2, 1, 0).ravel())
 
         diag = spec.cell_diagonal
-        cells, _, _ = sample_band(field, spec, -np.inf, diag)
+        cells, _, _, _ = sample_band(field, spec, -np.inf, diag)
         assert np.isin(ids(cell_corner_sums(dense) / 8.0 <= diag), cells).all()
         for eps in (0.55 * float(spec.step.max()), 0.2):
-            cells, _, _ = sample_band(field, spec, eps, eps)
+            cells, _, _, _ = sample_band(field, spec, eps, eps)
             inside = cell_corner_sums((dense - eps < 0).astype(float))
             active = ids((inside > 0) & (inside < 8))
             assert len(active) and np.isin(active, cells).all()
@@ -450,6 +450,12 @@ class TestCandidateCells:
         crossing = np.flatnonzero(
             ((neg > 0) & (neg < 8)).transpose(2, 1, 0).ravel())
         assert set(crossing.tolist()) <= cand
+
+    def test_value_array_needs_spec(self):
+        values = sample_grid_values(SphereShellUdf(0.5), GridSpec(5))
+        with pytest.raises(ValueError, match="needs spec"):
+            candidate_cells(values)
+        assert len(candidate_cells(values, GridSpec(5))) > 0
 
     def test_rejects_nonpositive_factor(self):
         field = SphereShellUdf(0.5)
