@@ -3,7 +3,7 @@
 Subcommands: mesh, mesh-inflate, metrics, fit-pc, gradcheck, dump-grid.
 Exit codes: 0 success, 1 check failure, 2 usage or input error. The
 UDF_MESHER_THREADS environment variable caps sampling workers; the
---threads flag wins over it.
+--threads flag of mesh, mesh-inflate and dump-grid wins over it.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ def _add_grid_args(p: argparse.ArgumentParser):
                    help="lattice corners per axis (129 corners = 128 cells)")
     p.add_argument("--bounds", default="-1,1", metavar="LO,HI",
                    help="cubic region of interest, default -1,1")
+
+
+def _add_threads_arg(p: argparse.ArgumentParser):
     p.add_argument("--threads", type=int, default=None,
                    help="sampling workers (env UDF_MESHER_THREADS)")
 
@@ -291,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mesh", help="extract a triangle mesh from a field")
     _add_field_args(p)
     _add_grid_args(p)
+    _add_threads_arg(p)
     p.add_argument("--cull-factor", type=float, default=1.0)
     p.add_argument("--grad-norm-min", type=float, default=0.3)
     p.add_argument("--no-prune", action="store_true",
@@ -308,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mesh the eps-isolevel with signed marching cubes")
     _add_field_args(p)
     _add_grid_args(p)
+    _add_threads_arg(p)
     p.add_argument("--eps", type=float, default=None,
                    help="isolevel offset (overrides --eps-factor)")
     p.add_argument("--eps-factor", type=float, default=metrics.DEFAULT_EPS_FACTOR,
@@ -358,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-grid", help="export raw float32 corner distances")
     _add_field_args(p)
     _add_grid_args(p)
+    _add_threads_arg(p)
     p.add_argument("--out", required=True,
                    help="base path; writes <base>.f32 and <base>.json")
     p.set_defaults(func=cmd_dump_grid)

@@ -27,8 +27,8 @@ import numpy as np
 from .extract import extract_mesh
 from .fields import UdfField
 from .grid import GridSpec
-from .mesh import TriMesh, _unit_rows
-from .metrics import _sample_surface, nearest_neighbor_sq
+from .mesh import TriMesh
+from .metrics import nearest_neighbor_sq, sample_surface
 from .postprocess import remove_spurious_facets, smooth_borders
 
 DEFAULT_ALPHA = 1e-2
@@ -43,12 +43,7 @@ def vertex_normals(mesh: TriMesh) -> np.ndarray:
     the k-th face of all vertices that have one. Vertices without faces get
     a zero normal.
     """
-    return _vertex_normals(mesh, mesh.face_normals(normalize=False))
-
-
-def _vertex_normals(mesh: TriMesh, fn: np.ndarray) -> np.ndarray:
-    """``vertex_normals`` from the unnormalised face normals ``fn`` (twice
-    the area-weighted ones)."""
+    fn = mesh.face_normals(normalize=False)
     fidx, start = mesh.vertex_faces()
     valence = np.diff(start)
     acc = np.zeros((mesh.n_vertices, 3))
@@ -78,11 +73,6 @@ def outward_vectors(mesh: TriMesh, field: UdfField,
     unresolved vertices (vanishing cross product) should be treated as
     interior.
     """
-    return _outward_vectors(mesh, field, alpha, mesh.face_normals(normalize=False))
-
-
-def _outward_vectors(mesh: TriMesh, field: UdfField, alpha: float, fn: np.ndarray):
-    """``outward_vectors`` from the unnormalised face normals ``fn``."""
     count, nbrs, face = mesh.border_table()
     o = np.zeros((mesh.n_vertices, 3))
     resolved = np.zeros(mesh.n_vertices, dtype=bool)
@@ -99,7 +89,7 @@ def _outward_vectors(mesh: TriMesh, field: UdfField, alpha: float, fn: np.ndarra
     first, second = nbrs[verts, 0], nbrs[verts, 1]
     p = mesh.vertices
     e = np.where(chord, p[second] - p[first], p[first] - p[verts])
-    cross = np.cross(_unit_rows(fn[face[verts]]), e)
+    cross = np.cross(mesh.face_normals()[face[verts]], e)
     norm = np.sqrt(np.vecdot(cross, cross))
     keep = ~(norm < 1e-9)           # a NaN direction stays resolved
     verts = verts[keep]
@@ -177,20 +167,13 @@ def assemble_jacobian(mesh: TriMesh, field: UdfField,
                       use_border_formula: bool = True) -> VertexJacobian:
     """One derivative row per vertex; border vertices use the outward rule
     unless ``use_border_formula`` is off (the ablation switch)."""
-    return _assemble_jacobian(mesh, field, alpha, use_border_formula,
-                              mesh.face_normals(normalize=False))
-
-
-def _assemble_jacobian(mesh: TriMesh, field: UdfField, alpha: float,
-                       use_border_formula: bool, fn: np.ndarray) -> VertexJacobian:
-    """``assemble_jacobian`` from the unnormalised face normals ``fn``."""
-    normals = _vertex_normals(mesh, fn)
+    normals = vertex_normals(mesh)
     is_border = mesh.border_vertex_mask()
     directions = normals.copy()
     rows = np.zeros((mesh.n_vertices, field.param_dim))
 
     if use_border_formula and is_border.any():
-        o, resolved = _outward_vectors(mesh, field, alpha, fn)
+        o, resolved = outward_vectors(mesh, field, alpha)
         border = is_border & resolved
         directions[border] = o[border]
     else:
@@ -268,9 +251,7 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
             result.trace.append((it, float("nan"), float("nan"), float("nan")))
             break
 
-        # face normals once per iteration: sampling and the Jacobian share them
-        fn = mesh.face_normals(normalize=False)
-        pts, _, faces, bary = _sample_surface(mesh, fn, n_surface, seed)
+        pts, _, faces, bary = sample_surface(mesh, n_surface, seed)
         d2, idx = nearest_neighbor_sq(target, pts)
         dist = np.sqrt(d2)
         chd_loss = float(dist.mean())
@@ -288,7 +269,7 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
             np.add.at(vgrad, hit_faces[:, corner],
                       hit_bary[:, corner, None] * pull)
 
-        jac = _assemble_jacobian(mesh, current, alpha, use_border_formula, fn)
+        jac = assemble_jacobian(mesh, current, alpha, use_border_formula)
         grad = jac.param_gradient(vgrad)
 
         reg_loss = 0.0

@@ -11,10 +11,12 @@ import numpy as np
 class TriMesh:
     """Triangle mesh as (V, 3) float vertices and (F, 3) int faces.
 
-    Connectivity (edges, vertex->face and border tables) is derived lazily
-    from the faces and cached; mutate faces only through copies or call
-    ``invalidate`` after in-place edits. The tables never read vertex
-    positions, so a copy that only moves vertices may share the cache.
+    Connectivity (edges, vertex->face and border tables) and face normals
+    are derived lazily and cached, the normals as read-only arrays. Edit
+    vertices or faces only through copies, or call ``invalidate`` after an
+    in-place edit. ``with_vertices`` moves the vertices in a copy that
+    shares the connectivity tables, which never read positions, but not
+    the face normals.
     """
 
     vertices: np.ndarray
@@ -41,7 +43,19 @@ class TriMesh:
         return self.n_faces == 0
 
     def invalidate(self):
+        """Drop the cached tables and face normals; needed after any
+        in-place edit of ``vertices`` or ``faces``."""
         self._cache.clear()
+
+    def with_vertices(self, vertices) -> "TriMesh":
+        """A copy with these vertex positions and the same faces. It shares
+        the connectivity tables, never the face normals."""
+        mesh = TriMesh(vertices, self.faces.copy())
+        if mesh.n_vertices != self.n_vertices:
+            raise ValueError("with_vertices needs one position per vertex")
+        mesh._cache.update((k, v) for k, v in self._cache.items()
+                           if k not in ("cross", "normals"))
+        return mesh
 
     # -- derived connectivity -------------------------------------------------
 
@@ -126,9 +140,17 @@ class TriMesh:
     # -- geometry --------------------------------------------------------------
 
     def face_normals(self, normalize: bool = True) -> np.ndarray:
-        tri = self.vertices[self.faces]
-        n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        return _unit_rows(n) if normalize else n
+        """Unit face normals, or with ``normalize`` off the edge cross
+        products (twice the area-weighted normals); both read-only."""
+        if "cross" not in self._cache:
+            tri = self.vertices[self.faces]
+            self._cache["cross"] = _read_only(
+                np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]))
+        if not normalize:
+            return self._cache["cross"]
+        if "normals" not in self._cache:
+            self._cache["normals"] = _read_only(_unit_rows(self._cache["cross"]))
+        return self._cache["normals"]
 
     def face_areas(self) -> np.ndarray:
         return 0.5 * np.linalg.norm(self.face_normals(normalize=False), axis=1)
@@ -172,6 +194,11 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     result depends on that row alone."""
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     return np.divide(v, norms, out=np.zeros_like(v), where=norms > 0)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def empty_mesh() -> TriMesh:

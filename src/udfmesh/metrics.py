@@ -70,14 +70,7 @@ def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
     if mesh.is_empty():
         raise ValueError("cannot sample an empty mesh")
     _require_finite(mesh, "mesh")
-    return _sample_surface(mesh, mesh.face_normals(normalize=False), n, seed)
-
-
-def _sample_surface(mesh: TriMesh, cross: np.ndarray, n: int, seed: int):
-    """``sample_surface`` of a non-empty mesh with finite vertices, given its
-    unnormalised face normals ``cross``."""
-    norms = np.linalg.norm(cross, axis=1, keepdims=True)
-    areas = 0.5 * norms[:, 0]
+    areas = mesh.face_areas()
     total = areas.sum()
     if total <= 0:
         raise ValueError("mesh has zero surface area")
@@ -89,8 +82,7 @@ def _sample_surface(mesh: TriMesh, cross: np.ndarray, n: int, seed: int):
     w = np.stack([1.0 - su, su * (1.0 - r2), su * r2], axis=1)
     tri = mesh.vertices[mesh.faces[faces]]
     pts = np.einsum("nc,ncj->nj", w, tri)
-    normals = np.divide(cross, norms, out=np.zeros_like(cross), where=norms > 0)[faces]
-    return pts, normals, faces, w
+    return pts, mesh.face_normals()[faces], faces, w
 
 
 def nearest_neighbor_sq(query: np.ndarray, target: np.ndarray):
@@ -144,12 +136,11 @@ def image_consistency(pred: TriMesh, gt: TriMesh, size: int = render.IMAGE_SIZE)
     _require_finite(pred, "pred")
     _require_finite(gt, "gt")
     cams, target = render.scene_cameras(pred, gt)
-    normals_p, normals_g = pred.face_normals(), gt.face_normals()
 
     scores = []
     for k, eye in enumerate(cams):
-        sil_p, nrm_p = render._render(pred, normals_p, eye, target, size)
-        sil_g, nrm_g = render._render(gt, normals_g, eye, target, size)
+        sil_p, nrm_p = render.render_view(pred, eye, target, size)
+        sil_g, nrm_g = render.render_view(gt, eye, target, size)
         union = sil_p | sil_g
         if not union.any():
             warnings.warn(f"view {k}: both silhouettes empty, view skipped")

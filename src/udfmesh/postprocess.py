@@ -43,5 +43,4 @@ def smooth_borders(mesh: TriMesh, steps: int = 5, weight: float = 0.5) -> TriMes
     for _ in range(steps):
         mid = 0.5 * (verts[nbrs[idx, 0]] + verts[nbrs[idx, 1]])
         verts[idx] += weight * (mid - verts[idx])
-    # same faces, so the connectivity cache carries over
-    return TriMesh(verts, mesh.faces.copy(), _cache=dict(mesh._cache))
+    return mesh.with_vertices(verts)

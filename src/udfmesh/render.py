@@ -86,13 +86,6 @@ def look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
 def render_view(mesh: TriMesh, eye, target, size: int = IMAGE_SIZE,
                 vfov_deg: float = VFOV_DEG) -> tuple[np.ndarray, np.ndarray]:
     """Render one view; returns (silhouette bool (H,W), normal map (H,W,3))."""
-    return _render(mesh, mesh.face_normals(), eye, target, size, vfov_deg)
-
-
-def _render(mesh: TriMesh, face_normals: np.ndarray, eye, target, size: int,
-            vfov_deg: float = VFOV_DEG) -> tuple[np.ndarray, np.ndarray]:
-    """``render_view`` with the mesh's unit face normals given, so several
-    views of one mesh compute them once."""
     if mesh.is_empty():
         return np.zeros((size, size), dtype=bool), np.zeros((size, size, 3))
 
@@ -109,7 +102,7 @@ def _render(mesh: TriMesh, face_normals: np.ndarray, eye, target, size: int,
         start = stop
 
     # an uncovered pixel (winner -1) takes the zero row at the end
-    table = np.vstack([face_normals[face], np.zeros((1, 3))])
+    table = np.vstack([mesh.face_normals()[face], np.zeros((1, 3))])
     normals = np.take(table, winner, axis=0).reshape(size, size, 3)
     return (winner >= 0).reshape(size, size), normals
 

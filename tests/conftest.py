@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from udfmesh import GridSpec, MeshUdf, primitives
+from udfmesh import GridSpec, MeshUdf, TriMesh, primitives
 
 
 @pytest.fixture
@@ -13,6 +15,22 @@ def unit_patch_mesh():
 @pytest.fixture
 def unit_patch_field(unit_patch_mesh):
     return MeshUdf(unit_patch_mesh)
+
+
+@pytest.fixture
+def face_cross_log(monkeypatch):
+    """The meshes whose face cross products get computed, one entry per
+    computation: ``np.cross`` calls made from ``TriMesh.face_normals``."""
+    log = []
+    cross = np.cross
+
+    def counted(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code is TriMesh.face_normals.__code__:
+            log.append(caller.f_locals["self"])
+        return cross(*args, **kwargs)
+    monkeypatch.setattr(np, "cross", counted)
+    return log
 
 
 @pytest.fixture

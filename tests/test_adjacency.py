@@ -73,11 +73,27 @@ def hand_built():
 
 
 def loop_jacobian(monkeypatch, mesh, field):
+    """``assemble_jacobian`` with the loop oracles in place of
+    ``vertex_normals`` and ``outward_vectors``; fails unless it called them."""
+    calls = []
+
+    def normals(mesh):
+        calls.append("normals")
+        return loop_vertex_normals(mesh)
+
+    def outward(mesh, field, alpha):
+        calls.append("outward")
+        return loop_outward_vectors(mesh, field, alpha)
+
     with monkeypatch.context() as m:
-        m.setattr(diffgeom, "vertex_normals", loop_vertex_normals)
-        m.setattr(diffgeom, "outward_vectors",
-                  lambda mesh, field, alpha: loop_outward_vectors(mesh, field, alpha))
-        return assemble_jacobian(mesh, field)
+        m.setattr(diffgeom, "vertex_normals", normals)
+        m.setattr(diffgeom, "outward_vectors", outward)
+        jac = assemble_jacobian(mesh, field)
+    if mesh.n_vertices:
+        assert "normals" in calls
+    if mesh.border_vertex_mask().any():
+        assert "outward" in calls
+    return jac
 
 
 def assert_same_adjacency_outputs(monkeypatch, mesh, field):
@@ -155,6 +171,39 @@ class TestTriMeshTables:
         assert mesh.vertex_faces() is mesh.vertex_faces()
         mesh.invalidate()
         assert mesh.border_table() is not table
+
+    def test_face_normals_are_read_only_and_recomputed_after_invalidate(self):
+        mesh = primitives.square_patch(side=1.0, subdivisions=2)
+        cross, unit = mesh.face_normals(normalize=False), mesh.face_normals()
+        assert mesh.face_normals(normalize=False) is cross
+        assert mesh.face_normals() is unit
+        for a in (cross, unit):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        mesh.vertices[:, 2] += 0.5 * mesh.vertices[:, 0] ** 2
+        mesh.invalidate()
+        fresh = TriMesh(mesh.vertices.copy(), mesh.faces)
+        assert not np.array_equal(mesh.face_normals(), unit)
+        for normalize in (False, True):
+            assert (mesh.face_normals(normalize).tobytes()
+                    == fresh.face_normals(normalize).tobytes())
+
+    def test_moved_copies_share_connectivity_but_not_normals(self):
+        mesh = extract_mesh(FIELDS["patch"], generic_spec(17))
+        mesh.face_normals()             # cached on the source mesh
+        smoothed = smooth_borders(mesh, steps=5)
+        moved = np.any(smoothed.vertices != mesh.vertices, axis=1)
+        assert (moved & mesh.border_vertex_mask()).any()
+        warped = mesh.with_vertices(mesh.vertices * [1.0, 1.0, 2.0] + 0.1)
+        for copy in (smoothed, warped):
+            assert copy.border_table() is mesh.border_table()
+            np.testing.assert_array_equal(copy.faces, mesh.faces)
+            fresh = TriMesh(copy.vertices, mesh.faces)
+            for normalize in (False, True):
+                assert (copy.face_normals(normalize).tobytes()
+                        == fresh.face_normals(normalize).tobytes())
+        with pytest.raises(ValueError, match="one position per vertex"):
+            mesh.with_vertices(np.vstack([mesh.vertices, [[0.0, 0.0, 0.0]]]))
 
     def test_empty_and_closed_meshes(self):
         count, nbrs, face = empty_mesh().border_table()

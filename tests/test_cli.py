@@ -5,7 +5,7 @@ import pytest
 
 from udfmesh import (load_grid_dump, primitives, random_mlp, read_obj,
                      sample_grid, write_obj, write_xyz)
-from udfmesh.cli import main
+from udfmesh.cli import build_parser, main
 from udfmesh.grid import GridSpec
 
 
@@ -68,6 +68,14 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert [line.startswith("error:") for line in err.splitlines()] == [True]
     assert "Traceback" not in err
+
+
+def test_threads_offered_only_where_sampling_reads_it():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    offered = {name for name, sub in commands.items()
+               if any("--threads" in a.option_strings for a in sub._actions)}
+    assert offered == {"mesh", "mesh-inflate", "dump-grid"}
+    assert set(commands) > offered
 
 
 class TestMeshCommand:

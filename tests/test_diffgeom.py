@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchU
                      SphereShellUdf, TranslatedPlaneUdf, TriMesh, UdfField, diffgeom,
                      assemble_jacobian, border_vertex_derivative,
                      directional_gradcheck, extract_mesh, fit_point_cloud,
-                     interior_vertex_derivative, primitives, vertex_normals)
+                     image_consistency, interior_vertex_derivative, primitives, render,
+                     vertex_normals)
 from udfmesh.diffgeom import outward_vectors
 from udfmesh.mlp import encoded_dim
 
@@ -410,15 +413,37 @@ def test_fit_matches_sort_based_extraction(monkeypatch, make):
 
 
 @pytest.mark.filterwarnings("ignore:.*border vertices join")
-def test_face_normals_once_per_fit_iteration(monkeypatch):
-    calls = []
-    original = TriMesh.face_normals
-
-    def counted(self, normalize=True):
-        calls.append(normalize)
-        return original(self, normalize)
-
-    monkeypatch.setattr(TriMesh, "face_normals", counted)
+def test_face_normals_once_per_fit_iteration(face_cross_log):
     field, target, spec, kwargs = patch_fit()
     fit = fit_point_cloud(field, target, spec, iters=3, lr=0.01)
-    assert calls == [False] * len(fit.trace) == [False] * 3
+    assert len(fit.trace) == 3 and not fit.events
+    # one mesh per iteration, each one's cross products computed once
+    assert len(face_cross_log) == 3
+    assert len({id(mesh) for mesh in face_cross_log}) == 3
+
+
+@pytest.mark.filterwarnings("ignore:.*border vertices join")
+def test_fit_and_scores_run_through_the_public_stages(monkeypatch):
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("sample_surface", "assemble_jacobian", "vertex_normals",
+                 "outward_vectors"):
+        counting(diffgeom, name)
+    counting(render, "render_view")
+    field, target, spec, kwargs = patch_fit()
+    fit = fit_point_cloud(field, target, spec, iters=3, lr=0.01)
+    assert len(fit.trace) == 3 and not fit.events
+    assert calls == {"sample_surface": 3, "assemble_jacobian": 3,
+                     "vertex_normals": 3, "outward_vectors": 3}
+    calls.clear()
+    mesh = extract_mesh(field, spec)
+    image_consistency(mesh, primitives.square_patch(side=1.0), 32)
+    assert calls == {"render_view": 16}

@@ -11,8 +11,8 @@ the pixel anyway, and no render would show it.
 import numpy as np
 import pytest
 
-from udfmesh import TriMesh, empty_mesh, image_consistency, primitives
-from udfmesh.render import (VFOV_DEG, _CHUNK_PAIRS, _column_spans, _drawn_faces, _render,
+from udfmesh import TriMesh, empty_mesh, evaluate_pair, image_consistency, primitives
+from udfmesh.render import (VFOV_DEG, _CHUNK_PAIRS, _column_spans, _drawn_faces,
                             render_view, scene_cameras)
 
 from oracles import loop_render_view
@@ -153,27 +153,17 @@ def test_far_vertex_right_of_the_image_draws_like_its_mirror(size):
     assert right.tobytes() == left[::-1].tobytes()
 
 
-def test_face_normals_computed_once_per_mesh(monkeypatch):
+def test_face_normals_computed_once_per_mesh(face_cross_log):
     pred, gt = soup(np.random.default_rng(7), 60), soup(np.random.default_rng(8), 50)
-    unit = []                  # meshes whose unit normals were computed
-    original = TriMesh.face_normals
-
-    def counted(self, normalize=True):
-        if normalize:
-            unit.append(self)
-        return original(self, normalize)
-    monkeypatch.setattr(TriMesh, "face_normals", counted)
     score = image_consistency(pred, gt, 97)
-    assert len(unit) == 2 and unit[0] is pred and unit[1] is gt
-    monkeypatch.setattr(TriMesh, "face_normals", original)
-    # the private path draws what the public one draws
-    cams, target = scene_cameras(pred, gt)
-    for eye in cams:
-        for mesh in (pred, gt):
-            ours = _render(mesh, mesh.face_normals(), eye, target, 97)
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(ours, render_view(mesh, eye, target, 97)))
+    assert len(face_cross_log) == 2
+    assert face_cross_log[0] is pred and face_cross_log[1] is gt
     assert 0.0 < score <= 100.0
+    # sampling, the cameras' centroids and the renders share one pass too
+    pred, gt = soup(np.random.default_rng(7), 60), soup(np.random.default_rng(8), 50)
+    evaluate_pair(pred, gt, n_samples=500, image_size=32)
+    assert len(face_cross_log) == 4
+    assert face_cross_log[2] is pred and face_cross_log[3] is gt
 
 
 @pytest.mark.parametrize("size", (256, 512))
