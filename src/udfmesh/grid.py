@@ -148,7 +148,8 @@ class GridSamples:
         return _sample_corners(self.field, self.spec, self.threads, True, ids)[1]
 
 
-CHUNK = 32768                 # points per query; bounds one query's memory
+CHUNK = 32768                 # points per field query; an MlpUdf value query
+                              # then holds one block of them at a time
 ROUNDING_SLACK = 1e-9         # relative widening of every Lipschitz radius
 
 

@@ -12,6 +12,13 @@ optional clamp at ``d_max``) so the field is a valid unsigned distance.
 
 Spatial gradients and latent sensitivities come from a hand-rolled
 reverse-mode pass over the same weights.
+
+A values-only query runs in row blocks of ``VALUE_BLOCK`` points, so each
+layer's activations stay cache-sized however many points the query has;
+each block writes its slice of one result array, and the values are bitwise
+those of one pass over the whole query. Gradient and sensitivity queries
+run as one pass: OpenBLAS hands the small products of a narrow network's
+reverse pass to another kernel, so blocking them would change their bits.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ def _encoding_jacobian_apply(enc: np.ndarray, order: int, grad_enc: np.ndarray) 
         g += grad_enc[:, col:col + 3] * (-w * enc[:, col - 3:col])
         col += 3
     return g
+
+
+VALUE_BLOCK = 512             # rows per block of a values-only query
 
 
 class MlpUdf(UdfField):
@@ -144,14 +154,34 @@ class MlpUdf(UdfField):
         return h[:, 0], enc, acts
 
     def _query(self, pts, grad, sens):
-        raw, enc, acts = self._forward(pts, keep=grad or sens)
+        """``UdfField._query``. Values alone run the encoding, the layers,
+        the absolute value and the clamp in row blocks of ``VALUE_BLOCK``
+        points, each written into its slice of one ``u``. The last block
+        takes the remainder, so no block is shorter than ``VALUE_BLOCK``
+        unless the whole query is, and a query of any size holds one block's
+        activations at a time. A row of a forward product gets the same bits
+        at every block size, so the values are those of one whole pass.
+        Gradient and sensitivity queries run as one pass: OpenBLAS sends
+        small products, such as those of a 16- or 32-wide network's reverse
+        pass over a block, to another kernel, whose bits differ.
+        """
+        if not (grad or sens):
+            u = np.empty(len(pts))
+            edges = [*range(0, max(len(pts) // VALUE_BLOCK, 1) * VALUE_BLOCK,
+                            VALUE_BLOCK), len(pts)]
+            for s, e in zip(edges[:-1], edges[1:]):
+                block = u[s:e]
+                np.abs(self._forward(pts[s:e], keep=False)[0], out=block)
+                if self.d_max is not None:
+                    np.minimum(block, self.d_max, out=block)
+            return u, None, None
+
+        raw, enc, acts = self._forward(pts, keep=True)
         u = np.abs(raw)
         clamped = None
         if self.d_max is not None:
             clamped = u >= self.d_max
             u = np.minimum(u, self.d_max)
-        if not (grad or sens):
-            return u, None, None
 
         # reverse pass: gradient of u w.r.t. the network input
         delta = np.sign(raw)[:, None]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf,
                      load_grid_dump, mesh_signed_grid, primitives, random_mlp,
                      sample_grid, sample_grid_values)
 from udfmesh.grid import CHUNK, NonFiniteFieldError, sample_band
+from udfmesh.mlp import VALUE_BLOCK
 from udfmesh.mc_tables import CORNER_OFFSETS
 
 from conftest import generic_spec, wavy_patch_mlp
@@ -147,6 +150,29 @@ class TestSampleGrid:
             field.weights[1][:, 0] = 1.0      # the NaN unit reaches the output
         with pytest.raises(NonFiniteFieldError, match="non-finite value at corner"):
             sample_grid(field, GridSpec(5))
+
+    @pytest.mark.parametrize("sampler", [
+        sample_grid,
+        lambda f, spec: sample_band(f, spec, 0.0, 0.1),
+    ], ids=["grid", "band"])
+    @pytest.mark.parametrize("k", [5, 31])
+    def test_non_finite_in_later_block_names_first_corner(self, sampler, k):
+        # relu(x) + 1e300 relu(1e300 (z - z0)): finite up to z0, infinite
+        # above it, so the first such corner in x-fastest order is (-1, -1, z_k)
+        spec = GridSpec(33)
+        z = spec.axis_coords(2)
+        z0 = 0.5 * (z[k - 1] + z[k])
+        field = MlpUdf([np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e300]]),
+                        np.array([[1.0, 1e300]])],
+                       [np.array([0.0, -1e300 * z0]), np.zeros(1)], encoding_order=0)
+        first = k * 33 ** 2
+        assert 33 ** 3 > CHUNK and first % CHUNK >= VALUE_BLOCK
+        with np.errstate(over="ignore"):
+            assert np.isinf(field.eval((-1.0, -1.0, z[k])))
+            assert np.isfinite(field.eval((1.0, 1.0, z[k - 1])))
+            with pytest.raises(NonFiniteFieldError, match=re.escape(
+                    f"non-finite value at corner (-1, -1, {z[k]:.6g})")):
+                sampler(field, spec)
 
 
 def garment_like_mesh():

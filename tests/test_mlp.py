@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from udfmesh import MlpUdf, WeightFileError, random_mlp
-from udfmesh.mlp import encoded_dim
+from udfmesh.grid import CHUNK
+from udfmesh.mlp import VALUE_BLOCK, encoded_dim
 
 from conftest import wavy_patch_mlp
 from oracles import (allocating_hidden_sign_pattern, allocating_mlp_query,
@@ -141,6 +143,10 @@ ORACLE_NETS = {
     "wavy-patch": lambda: wavy_patch_mlp(1),
 }
 
+# query sizes on either side of the value pass's block edges, up to a chunk
+B = VALUE_BLOCK
+EDGE_SIZES = [1, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, CHUNK - 1, CHUNK]
+
 
 class TestInPlacePass:
     """The in-place forward pass and the reverse pass that reads the
@@ -170,6 +176,34 @@ class TestInPlacePass:
         pattern = field.hidden_sign_pattern(pts)
         assert pattern.shape == (500, sum(field.layer_sizes[1:]))
         np.testing.assert_array_equal(pattern, allocating_hidden_sign_pattern(field, pts))
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    @pytest.mark.parametrize("name", list(ORACLE_NETS))
+    def test_block_edges_match_allocating_pass(self, name, n, rng):
+        field = ORACLE_NETS[name]()
+        pts = rng.uniform(-1, 1, (n, 3))
+        u, g, s, _ = allocating_mlp_query(field, pts, True, True)
+        assert_bitwise(field.eval(pts), u)
+        assert_bitwise(field.grad_x(pts), g)
+        ug = field.eval_grad(pts)
+        assert_bitwise(ug[0], u)
+        assert_bitwise(ug[1], g)
+        if field.param_dim:
+            assert_bitwise(field.param_sensitivity(pts), s)
+
+    def test_values_pass_holds_one_block(self, rng):
+        # a whole-chunk pass of the 3x128 network keeps two 32 MB activations
+        # alive (72 MB traced); row blocks keep under 1.5 MB
+        field = wavy_patch_mlp(1)
+        pts = rng.uniform(-1, 1, (CHUNK, 3))
+        field.eval(pts[:10])
+        tracemalloc.start()
+        try:
+            field.eval(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_nan_bias_propagates_as_before(self, rng):
         field = random_mlp(hidden=(8, 8), encoding_order=2, latent_dim=2,
