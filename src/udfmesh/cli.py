@@ -19,7 +19,7 @@ import numpy as np
 from . import diffgeom, io, metrics
 from .extract import extract_mesh_detailed
 from .fields import MeshUdf, UdfField, parametric_field
-from .grid import GridSpec, NonFiniteFieldError, dump_grid, sample_grid_values
+from .grid import GridSpec, NonFiniteFieldError, dump_grid, sample_grid
 from .mlp import MlpUdf
 from .postprocess import remove_spurious_facets, smooth_borders
 
@@ -278,7 +278,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_dump_grid(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
-    values = sample_grid_values(field, spec, threads=args.threads)
+    values = sample_grid(field, spec, threads=args.threads)
     data_path, meta_path = dump_grid(values, spec, args.out)
     print(f"wrote {data_path} and {meta_path}")
     return EXIT_OK

@@ -146,22 +146,6 @@ def border_vertex_rows(field: UdfField, points: np.ndarray,
     return -field.param_sensitivity(points + alpha * outward)
 
 
-def interior_vertex_derivative(field: UdfField, v, n,
-                               alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Full 3 x C derivative of one interior vertex."""
-    row = interior_vertex_rows(field, np.asarray(v, float).reshape(1, 3),
-                               np.asarray(n, float).reshape(1, 3), alpha)[0]
-    return np.outer(np.asarray(n, float), row)
-
-
-def border_vertex_derivative(field: UdfField, v, o,
-                             alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Full 3 x C derivative of one border vertex."""
-    row = border_vertex_rows(field, np.asarray(v, float).reshape(1, 3),
-                             np.asarray(o, float).reshape(1, 3), alpha)[0]
-    return np.outer(np.asarray(o, float), row)
-
-
 def assemble_jacobian(mesh: TriMesh, field: UdfField,
                       alpha: float = DEFAULT_ALPHA,
                       use_border_formula: bool = True) -> VertexJacobian:
@@ -230,6 +214,9 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
     target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
     if len(target) == 0:
         raise ValueError("target point cloud is empty")
+    bad = np.flatnonzero(~np.isfinite(target).all(axis=1))
+    if len(bad):
+        raise ValueError(f"target point {bad[0]} is not finite: {target[bad[0]].tolist()}")
     params = np.asarray(field.params, dtype=np.float64).copy()
     if prune_tol is None:
         prune_tol = 0.5 * spec.cell_diagonal
@@ -339,6 +326,9 @@ def directional_gradcheck(field: UdfField, spec: GridSpec, delta: np.ndarray,
         prune_tol = 0.5 * spec.cell_diagonal
 
     base_params = np.asarray(field.params, dtype=np.float64)
+    if np.array_equal(base_params + eps * delta, base_params):
+        raise ValueError(f"gradcheck: eps={eps:g} times delta leaves the parameters "
+                         "unchanged, so no vertex can move")
     mesh0 = remove_spurious_facets(extract_mesh(field, spec), field, prune_tol)
     if mesh0.is_empty():
         raise ValueError("gradcheck: base field extracts an empty mesh")

@@ -10,18 +10,15 @@ gradient are skipped rather than guessed.
 
 One batched kernel does this work: ``_pseudo_sign`` signs a batch of cells
 and ``_mesh_cells`` triangulates and welds them. ``extract_mesh_detailed``
-runs both over every candidate cell, ``_mesh_signed_cells`` (the inflation
-baseline) runs ``_mesh_cells`` on signed values, and ``pseudo_sign_cell`` and
-``triangulate_cell`` run them on a single cell.
+runs both over every candidate cell and ``_mesh_signed_cells`` (the
+inflation baseline) runs ``_mesh_cells`` on signed values.
 
 Every path reads one format, a sorted cell list with the 8 exact corner
 values of each cell and its corner table, from ``grid.sample_band`` (which
-skips what a field's Lipschitz bound rules out) or, for given samples,
-``grid._lattice_band`` and ``grid._corner_table``. Only candidate cells are
-signed. Their corners are picked out of the corner table with a mask and a
-rank, and gradients are read there in one call: evaluated from the field,
-or through ``GridSamples.gradients``, which evaluates them there too unless
-the samples were built with gradients.
+skips what a field's Lipschitz bound rules out) or, for a given value
+lattice, ``grid._lattice_band`` and ``grid._corner_table``. Only candidate
+cells are signed. Their corners are picked out of the corner table with a
+mask and a rank, and the field's gradients are evaluated there in one call.
 
 For sorted cells every column of the (m, 12) lattice edge ids is sorted as
 well, so one stable sort of those 12 runs groups the entries of each
@@ -36,18 +33,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (GridSamples, GridSpec, _cell_corners, _corner_subtable,
-                   _corner_table, _cull, _group_runs, _lattice_band, _min_corner_ids,
-                   _sample_corners, sample_band)
+from .grid import (GridSpec, _corner_subtable, _corner_table, _cull, _group_runs,
+                   _lattice_band, _min_corner_ids, _sample_corners, sample_band)
 from .mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE,
                         EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
 from .mesh import TriMesh, empty_mesh
 
 DEFAULT_GRAD_NORM_MIN = 0.3
 DEFAULT_CULL_FACTOR = 1.0
-
-SKIP_NO_ANCHOR = "no-valid-anchor"
-SKIP_NO_CROSSING = "no-crossing"
 
 # who chose the corners an extraction evaluated
 CORNERS_BOUND = "lipschitz"
@@ -69,16 +62,6 @@ _TRI_ROWS = np.array([tri + [-1] * (15 - len(tri)) for tri in TRI_TABLE],
 # offset: the cells that share a lattice edge then hold it lowest cell first
 _EDGE_RUNS = np.lexsort((-(EDGE_BASE @ (1, 2, 4)), EDGE_AXIS))
 _RUN_OF_EDGE = np.argsort(_EDGE_RUNS)
-
-
-@dataclass
-class PseudoSignedCell:
-    """Per-cell pseudo-sign assignment, or the reason it was skipped."""
-
-    cell_index: int
-    values: np.ndarray | None       # pseudo-signed distances, None if skipped
-    anchor: int | None              # local corner 0-7
-    skipped: str | None = None
 
 
 @dataclass
@@ -115,8 +98,10 @@ def _pseudo_sign(u8: np.ndarray, g8: np.ndarray, grad_norm_min: float,
                  anchor=None):
     """Pseudo-sign m cells from their corner values (m, 8) and gradients (m, 8, 3).
 
-    Anchors follow the rule of ``pseudo_sign_cell``; a given ``anchor``
-    overrides the choice for every cell. Returns (s, anchor, has_anchor):
+    A cell's anchor is the corner with the largest gradient norm among those
+    with norm >= ``grad_norm_min``, ties broken by the smallest corner
+    index; a given ``anchor`` overrides the choice for every cell, which the
+    anchor-invariance tests rely on. Returns (s, anchor, has_anchor):
     the signed values and the anchors of the cells that have one, and the
     (m,) mask of those cells.
     """
@@ -184,49 +169,21 @@ def _mesh_cells(spec: GridSpec, cells: np.ndarray, s: np.ndarray):
     return TriMesh(vertices, faces), vertex_ids, disagreements
 
 
-def pseudo_sign_cell(samples: GridSamples, cell_index: int,
-                     grad_norm_min: float = DEFAULT_GRAD_NORM_MIN,
-                     force_anchor: int | None = None) -> PseudoSignedCell:
-    """Assign pseudo-signed distances to one cell's corners.
-
-    The anchor is the corner with the largest gradient norm among those with
-    norm >= grad_norm_min (ties broken by smallest corner index); a cell with
-    no such corner is skipped. ``force_anchor`` overrides the choice, which
-    the anchor-invariance tests rely on.
-    """
-    cells = np.array([cell_index])
-    ids, index = _corner_table(samples.spec, cells)
-    s, anchor, has_anchor = _pseudo_sign(
-        _cell_corners(samples.u, samples.spec.cell_origin_ijk(cells)),
-        samples.gradients(ids)[index], grad_norm_min, force_anchor)
-    if not has_anchor[0]:
-        return PseudoSignedCell(cell_index, None, None, SKIP_NO_ANCHOR)
-    skipped = None if (s[0] < 0).any() else SKIP_NO_CROSSING
-    return PseudoSignedCell(cell_index, s[0], int(anchor[0]), skipped)
-
-
-def triangulate_cell(cell: PseudoSignedCell, spec: GridSpec) -> np.ndarray:
-    """Triangles for one pseudo-signed cell as (n, 3, 3) vertex positions."""
-    if cell.values is None:
-        return np.zeros((0, 3, 3))
-    mesh = _mesh_cells(spec, np.array([cell.cell_index]), cell.values[None, :])[0]
-    return mesh.vertices[mesh.faces]
-
-
 def extract_mesh_detailed(field, spec: GridSpec,
                           cull_factor: float = DEFAULT_CULL_FACTOR,
                           grad_norm_min: float = DEFAULT_GRAD_NORM_MIN,
                           threads: int | None = None,
-                          samples: GridSamples | None = None
+                          samples: np.ndarray | None = None
                           ) -> tuple[TriMesh, ExtractStats]:
     """Full pipeline: sample, cull, pseudo-sign, triangulate, weld.
 
     Without ``samples``, ``sample_band`` hands over the cells that may pass
     the cull test with their exact corner values, evaluating a field that
     declares a Lipschitz bound only where the bound cannot rule the test
-    out. Either way gradients are read only at the corners of candidate
-    cells: from the field, or through ``samples.gradients``. The output is
-    the same as from dense ``samples``.
+    out. ``samples`` is an (N, N, N) value lattice, as ``sample_grid``
+    returns. Either way the field's gradients are evaluated only at the
+    corners of candidate cells, and the output is the same as from dense
+    ``samples``.
 
     An edge cut in one sign-assigned cell but uncut in another is counted in
     ``edge_disagreements``. Neighboring cells can disagree near borders when
@@ -241,7 +198,10 @@ def extract_mesh_detailed(field, spec: GridSpec,
                                                                 upper, threads)
         stats.corner_source = CORNERS_DENSE if field.lipschitz is None else CORNERS_BOUND
     else:
-        cells, u8 = _lattice_band(samples.u, -np.inf, upper)
+        if np.shape(samples) != (spec.resolution,) * 3:
+            raise ValueError(f"samples of shape {np.shape(samples)} do not fit a "
+                             f"{spec.resolution}^3 lattice")
+        cells, u8 = _lattice_band(samples, -np.inf, upper)
         table = _corner_table(spec, cells)
         stats.corner_source = CORNERS_GIVEN
     stats.timings["sample"] = time.perf_counter() - t0
@@ -254,10 +214,7 @@ def extract_mesh_detailed(field, spec: GridSpec,
     t1 = time.perf_counter()
     ids, index = _corner_subtable(table, keep)
     del table                     # not read again: free it before the weld
-    if samples is None:
-        g8 = _sample_corners(field, spec, threads, True, ids)[1][index]
-    else:
-        g8 = samples.gradients(ids)[index]
+    g8 = _sample_corners(field, spec, threads, True, ids)[1][index]
     stats.timings["gradients"] = time.perf_counter() - t1
 
     s, _, has_anchor = _pseudo_sign(u8, g8, grad_norm_min)
@@ -275,7 +232,7 @@ def extract_mesh(field, spec: GridSpec,
                  cull_factor: float = DEFAULT_CULL_FACTOR,
                  grad_norm_min: float = DEFAULT_GRAD_NORM_MIN,
                  threads: int | None = None,
-                 samples: GridSamples | None = None) -> TriMesh:
+                 samples: np.ndarray | None = None) -> TriMesh:
     mesh, _ = extract_mesh_detailed(field, spec, cull_factor, grad_norm_min,
                                     threads, samples)
     return mesh

@@ -27,6 +27,13 @@ from .distance import MeshDistanceIndex
 from .mesh import TriMesh
 
 
+def _finite(**params) -> None:
+    """Reject a non-finite shape parameter, naming it."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+
+
 def _as_points(x) -> tuple[np.ndarray, bool]:
     pts = np.asarray(x, dtype=np.float64)
     single = pts.ndim == 1
@@ -119,6 +126,7 @@ class TranslatedPlaneUdf(UdfField):
     lipschitz = 1.0
 
     def __init__(self, offset: float = 0.0):
+        _finite(offset=offset)
         self.offset = float(offset)
 
     def _query(self, pts, grad, sens):
@@ -146,6 +154,7 @@ class SphereShellUdf(UdfField):
     lipschitz = 1.0
 
     def __init__(self, radius: float = 0.5):
+        _finite(radius=radius)
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
@@ -183,6 +192,7 @@ class RectanglePatchUdf(UdfField):
 
     def __init__(self, x_max: float = 0.5, x_min: float = -0.5,
                  y_range=(-0.5, 0.5), z0: float = 0.0):
+        _finite(x_max=x_max, x_min=x_min, y_range=y_range, z0=z0)
         if x_max <= x_min:
             raise ValueError("x_max must exceed x_min")
         self.x_max = float(x_max)
@@ -224,6 +234,7 @@ class OpenCylinderUdf(UdfField):
     lipschitz = 1.0
 
     def __init__(self, radius: float = 0.6, z_range=(-0.6, 0.6)):
+        _finite(radius=radius, z_range=z_range)
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
@@ -268,6 +279,7 @@ class TranslatedMeshUdf(UdfField):
     def __init__(self, base: MeshUdf, offset=(0.0, 0.0, 0.0)):
         self.base = base
         self.offset = np.array(offset, dtype=np.float64).reshape(3)
+        _finite(offset=self.offset)
 
     def _query(self, pts, grad, sens):
         # d/dt u_base(x - t) = -grad u_base(x - t)

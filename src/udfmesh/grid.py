@@ -1,13 +1,13 @@
-"""Regular-lattice sampling of a field and candidate-cell selection.
+"""Regular-lattice sampling of a field and the cells near a level set.
 
-``sample_grid`` and ``sample_grid_values`` evaluate the value at every
-corner; ``sample_grid`` evaluates gradients only where they are read,
-through ``GridSamples.gradients``. ``sample_band`` hands extraction and
-inflation the cells whose values may meet a band, sorted, with their 8
-exact corner values; for a field with a Lipschitz bound it evaluates only
-the blocks the bound cannot rule out. Every query runs in the fixed chunks
-of ``_evaluate``, lattice corners through ``_sample_corners``, so results
-do not depend on the worker count.
+``sample_grid`` returns the value at every corner as a plain (N, N, N)
+array. ``sample_band`` hands extraction and inflation the cells whose
+values may meet a band, sorted, with their 8 exact corner values; for a
+field with a Lipschitz bound it evaluates only the blocks the bound cannot
+rule out. Gradients are evaluated only at the corners extraction signs,
+by ``_sample_corners`` given their ids. Every query runs in the fixed
+chunks of ``_evaluate``, lattice corners through ``_sample_corners``, so
+results do not depend on the worker count.
 
 ``sample_band`` also hands on its corner table (``_corner_table``): the
 sorted distinct corner ids of its cells and each cell's (m, 8) index into
@@ -24,7 +24,6 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +58,9 @@ class GridSpec:
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2 corners per axis")
         lo, hi = np.asarray(self.bounds_min, float), np.asarray(self.bounds_max, float)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError(f"bounds must be finite, got bounds_min {lo.tolist()} "
+                             f"and bounds_max {hi.tolist()}")
         if not np.all(lo < hi):
             raise ValueError("bounds_min must be strictly below bounds_max")
         object.__setattr__(self, "bounds_min", tuple(lo))
@@ -111,43 +113,6 @@ class GridSpec:
         return ijk[..., 0] + m * (ijk[..., 1] + m * ijk[..., 2])
 
 
-class GridSamples:
-    """Field values at every lattice corner, gradients where they are read.
-
-    ``u`` has shape (N, N, N) indexed [i, j, k] = (x, y, z). Gradients are
-    either given as ``g``, shape (N, N, N, 3), or evaluated on demand from
-    ``field`` with ``threads`` workers: ``gradients(ids)`` at some corners,
-    ``g`` over the whole lattice on first read.
-    """
-
-    def __init__(self, spec: GridSpec, u: np.ndarray, g: np.ndarray | None = None,
-                 field: UdfField | None = None, threads: int | None = None):
-        n = spec.resolution
-        assert u.shape == (n, n, n)
-        if g is None and field is None:
-            raise ValueError("GridSamples needs gradients or a field to evaluate them")
-        self.spec, self.u, self.field = spec, u, field
-        self.threads = resolve_threads(threads)
-        self._given = g is not None
-        if self._given:
-            assert g.shape == (n, n, n, 3)
-            self.__dict__["g"] = g          # fills the cache: never evaluated
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        """Gradients at every corner, (N, N, N, 3): the given ones, else
-        evaluated over the whole lattice on first read."""
-        return _sample_corners(self.field, self.spec, self.threads, grad=True)[1]
-
-    def gradients(self, ids: np.ndarray) -> np.ndarray:
-        """(len(ids), 3) gradients at sorted x-fastest corner ids: gathered
-        from given ``g``, else evaluated at those corners alone."""
-        if self._given:
-            n = self.spec.resolution
-            return self.g[ids % n, ids // n % n, ids // (n * n)]
-        return _sample_corners(self.field, self.spec, self.threads, True, ids)[1]
-
-
 CHUNK = 32768                 # points per field query; an MlpUdf value query
                               # then holds one block of them at a time
 ROUNDING_SLACK = 1e-9         # relative widening of every Lipschitz radius
@@ -194,13 +159,10 @@ def _evaluate(field: UdfField, n_pts: int, points, threads: int | None,
 def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
                     grad: bool, ids: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Values (and gradients with ``grad``) at lattice corners.
-
-    Without ``ids`` every corner is evaluated and the arrays come back
-    [i, j, k] indexed. With a sorted array of x-fastest corner ids they come
-    back flat, one entry per id. Either way the corners run in fixed chunks
-    of the id list, and a non-finite value names the first such corner in
-    x-fastest order.
+    """Values (and gradients with ``grad``) at a sorted array of x-fastest
+    corner ids, or at every corner without ``ids``, one flat entry per
+    corner. The corners run in fixed chunks of the id list, and a non-finite
+    value names the first such corner in x-fastest order.
     """
     n = spec.resolution
     xs, ys, zs = (spec.axis_coords(a) for a in range(3))
@@ -209,29 +171,18 @@ def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
         i = np.arange(s, e) if ids is None else ids[s:e]
         return np.column_stack([xs[i % n], ys[i // n % n], zs[i // (n * n)]])
 
-    n_pts = n ** 3 if ids is None else len(ids)
-    u, g = _evaluate(field, n_pts, points, threads, grad, "corner")
-    if ids is not None:
-        return u, g
-    # flat order is x-fastest; bring it to [i, j, k] indexing
-    u = np.ascontiguousarray(u.reshape(n, n, n).transpose(2, 1, 0))
-    if not grad:
-        return u, None
-    return u, np.ascontiguousarray(g.reshape(n, n, n, 3).transpose(2, 1, 0, 3))
+    return _evaluate(field, n ** 3 if ids is None else len(ids), points, threads,
+                     grad, "corner")
 
 
-def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> GridSamples:
-    """Evaluate the value at every corner of the lattice. The returned
-    samples keep ``field`` and ``threads`` and evaluate gradients only where
-    they are read; a non-finite value raises ``NonFiniteFieldError`` here."""
+def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> np.ndarray:
+    """The value at every lattice corner as an (N, N, N) array indexed
+    [i, j, k] = (x, y, z); a non-finite value raises ``NonFiniteFieldError``.
+    Gradients are read by extraction at the corners it signs, never here."""
+    n = spec.resolution
     u = _sample_corners(field, spec, threads, grad=False)[0]
-    return GridSamples(spec, u, field=field, threads=threads)
-
-
-def sample_grid_values(field: UdfField, spec: GridSpec,
-                       threads: int | None = None) -> np.ndarray:
-    """Field values only, for consumers that never touch gradients."""
-    return _sample_corners(field, spec, threads, grad=False)[0]
+    # flat order is x-fastest; bring it to [i, j, k] indexing
+    return np.ascontiguousarray(u.reshape(n, n, n).transpose(2, 1, 0))
 
 
 def _cell_corners(values: np.ndarray, ijk: np.ndarray) -> np.ndarray:
@@ -325,7 +276,7 @@ def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
     stride 2; each level keeps only the blocks whose bound meets the band,
     and the cells of the last survivors are returned. A field without a
     bound, or a lattice too small for stride 2, gets every corner evaluated,
-    as ``sample_grid_values`` does, and every cell with a corner at or below
+    as ``sample_grid`` does, and every cell with a corner at or below
     ``upper`` and one at or above ``lower`` is returned.
     """
     n = spec.resolution
@@ -334,8 +285,7 @@ def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
     while 2 * s <= m / 4:
         s *= 2
     if field.lipschitz is None or s < 2:
-        values = _sample_corners(field, spec, threads, grad=False)[0]
-        cells, u8 = _lattice_band(values, lower, upper)
+        cells, u8 = _lattice_band(sample_grid(field, spec, threads), lower, upper)
         return cells, u8, _corner_table(spec, cells), n ** 3
 
     lo, step = np.asarray(spec.bounds_min), spec.step
@@ -371,24 +321,6 @@ def _cull(u8: np.ndarray, spec: GridSpec, cull_factor: float) -> np.ndarray:
     if cull_factor <= 0:
         raise ValueError("cull_factor must be positive")
     return sum(u8[:, c] for c in range(8)) / 8.0 <= cull_factor * spec.cell_diagonal
-
-
-def candidate_cells(samples, spec: GridSpec | None = None,
-                    cull_factor: float = 1.0) -> np.ndarray:
-    """Linear indices of cells whose mean corner distance is at most
-    ``cull_factor`` cell diagonals; everything farther is skipped.
-
-    ``samples`` is a ``GridSamples`` or an [i, j, k] array of corner values;
-    an array needs ``spec``.
-    """
-    if isinstance(samples, GridSamples):
-        spec, values = spec or samples.spec, samples.u
-    elif spec is None:
-        raise ValueError("candidate_cells of a value array needs spec")
-    else:
-        values = samples
-    cells, u8 = _lattice_band(values, -np.inf, cull_factor * spec.cell_diagonal)
-    return cells[_cull(u8, spec, cull_factor)]
 
 
 # -- raw grid export ----------------------------------------------------------

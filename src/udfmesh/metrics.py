@@ -187,7 +187,7 @@ def inflate_mesh(field: UdfField, spec: GridSpec, eps: float | None = None,
     once 2*eps reaches the step size. ``sample_band`` with the band
     [eps, eps] hands over every cell that may straddle the isolevel, so a
     field with a Lipschitz bound is evaluated only near it. The mesh is the
-    same as ``mesh_signed_grid`` of dense ``sample_grid_values`` minus eps.
+    same as ``mesh_signed_grid`` of dense ``sample_grid`` minus eps.
     """
     if eps is None:
         eps = DEFAULT_EPS_FACTOR * float(spec.step.max())

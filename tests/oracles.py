@@ -190,17 +190,16 @@ def allocating_hidden_sign_pattern(net, pts: np.ndarray) -> np.ndarray:
 
 
 def eager_sample_grid(field, spec, chunk: int):
-    """Value and gradient at every lattice corner from one ``eval_grad``
-    pass over x-fastest chunks of ``chunk`` corners, as ``GridSamples``
-    with the gradients given."""
-    from udfmesh.grid import GridSamples
+    """(u, g): value and gradient at every lattice corner from one
+    ``eval_grad`` pass over x-fastest chunks of ``chunk`` corners, [i, j, k]
+    indexed, shapes (N, N, N) and (N, N, N, 3)."""
     n = spec.resolution
     pts = spec.corner_points()
     u, g = np.empty(n ** 3), np.empty((n ** 3, 3))
     for s in range(0, n ** 3, chunk):
         u[s:s + chunk], g[s:s + chunk] = field.eval_grad(pts[s:s + chunk])
-    return GridSamples(spec, np.ascontiguousarray(u.reshape(n, n, n).transpose(2, 1, 0)),
-                       np.ascontiguousarray(g.reshape(n, n, n, 3).transpose(2, 1, 0, 3)))
+    return (np.ascontiguousarray(u.reshape(n, n, n).transpose(2, 1, 0)),
+            np.ascontiguousarray(g.reshape(n, n, n, 3).transpose(2, 1, 0, 3)))
 
 
 def vertex_sets_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-6) -> bool:
@@ -497,7 +496,8 @@ def unique_extract_mesh_detailed(field, spec, cull_factor: float = 1.0,
     """``extract_mesh_detailed`` with the sort-based stages: the candidate
     corners by ``unique_cell_gradients`` and the weld and disagreement count
     by ``unique_weld``. Cells and corner values come from ``sample_band``
-    or, for given samples, from ``_lattice_band``. Timings stay empty."""
+    or, for a given value lattice, from ``_lattice_band``. Timings stay
+    empty."""
     from udfmesh.extract import (CORNERS_BOUND, CORNERS_DENSE, CORNERS_GIVEN,
                                  ExtractStats, _pseudo_sign)
     from udfmesh.grid import _cull, _lattice_band, _sample_corners, sample_band
@@ -507,17 +507,16 @@ def unique_extract_mesh_detailed(field, spec, cull_factor: float = 1.0,
         cells, u8, _, stats.corners_evaluated = sample_band(field, spec, -np.inf, upper,
                                                             threads)
         stats.corner_source = CORNERS_DENSE if field.lipschitz is None else CORNERS_BOUND
-        gradients = lambda ids: _sample_corners(field, spec, threads, True, ids)[1]  # noqa: E731
     else:
-        cells, u8 = _lattice_band(samples.u, -np.inf, upper)
+        cells, u8 = _lattice_band(samples, -np.inf, upper)
         stats.corner_source = CORNERS_GIVEN
-        gradients = samples.gradients
     keep = _cull(u8, spec, cull_factor)
     cand, u8 = cells[keep], u8[keep]
     stats.candidate_cells = len(cand)
     stats.culled_cells = stats.total_cells - len(cand)
     ijk = spec.cell_origin_ijk(cand)
-    g8 = unique_cell_gradients(gradients, spec, ijk)
+    g8 = unique_cell_gradients(lambda ids: _sample_corners(field, spec, threads, True, ids)[1],
+                               spec, ijk)
     s, _, has_anchor = _pseudo_sign(u8, g8, grad_norm_min)
     crossing = (s < 0).any(axis=1)
     stats.skipped_no_anchor = int((~has_anchor).sum())

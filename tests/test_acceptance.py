@@ -16,10 +16,10 @@ import pytest
 from udfmesh import (GridSpec, MeshUdf, RectanglePatchUdf, SphereShellUdf,
                      TranslatedPlaneUdf, assemble_jacobian, chamfer,
                      directional_gradcheck, extract_mesh, fit_point_cloud,
-                     image_consistency, inflate_mesh, interior_vertex_derivative,
-                     normal_consistency, primitives, remove_spurious_facets,
-                     sample_surface, smooth_borders)
+                     image_consistency, inflate_mesh, normal_consistency,
+                     primitives, remove_spurious_facets, sample_surface, smooth_borders)
 from udfmesh.cli import main as cli_main
+from udfmesh.diffgeom import DEFAULT_ALPHA, interior_vertex_rows
 
 from conftest import generic_spec
 from oracles import brute_chamfer, signed_marching_cubes, vertex_sets_match
@@ -221,8 +221,8 @@ def test_criterion_4_derivative_correctness():
         p = 0.45 * p / np.linalg.norm(p)
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        a = interior_vertex_derivative(sphere, p, n)
-        b = interior_vertex_derivative(sphere, p, -n)
+        a = np.outer(n, interior_vertex_rows(sphere, p[None], n[None], DEFAULT_ALPHA)[0])
+        b = np.outer(-n, interior_vertex_rows(sphere, p[None], -n[None], DEFAULT_ALPHA)[0])
         assert np.array_equal(a, b)
 
     elapsed = time.perf_counter() - t0

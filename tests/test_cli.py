@@ -59,10 +59,11 @@ SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
                  "--samples", "0"],
     lambda tmp: ["metrics", "--pred", non_finite_obj(tmp, "nan"), "--gt", patch_obj(tmp)],
     lambda tmp: ["metrics", "--pred", patch_obj(tmp), "--gt", non_finite_obj(tmp, "inf")],
+    lambda tmp: ["mesh", "--family", "sphere", "--params", "nan", "--out", tmp / "o.obj"],
 ], ids=["missing-weights", "descriptor-not-json", "eps-negative", "eps-zero",
         "cull-factor-zero", "prune-tol-negative", "prune-tol-zero",
         "gradcheck-eps-zero", "metrics-no-samples", "metrics-nan-vertex",
-        "metrics-inf-vertex"])
+        "metrics-inf-vertex", "family-param-nan"])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -263,5 +264,5 @@ class TestDumpGridCommand:
         assert code == 0
         values, spec = load_grid_dump(str(base))
         from udfmesh import SphereShellUdf
-        direct = sample_grid(SphereShellUdf(0.5), spec).u
+        direct = sample_grid(SphereShellUdf(0.5), spec)
         assert np.abs(values - direct).max() < 1e-6

@@ -5,11 +5,11 @@ import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
                      SphereShellUdf, TranslatedPlaneUdf, TriMesh, UdfField, diffgeom,
-                     assemble_jacobian, border_vertex_derivative,
-                     directional_gradcheck, extract_mesh, fit_point_cloud,
-                     image_consistency, interior_vertex_derivative, primitives, render,
+                     assemble_jacobian, directional_gradcheck, extract_mesh,
+                     fit_point_cloud, image_consistency, primitives, render,
                      vertex_normals)
-from udfmesh.diffgeom import outward_vectors
+from udfmesh.diffgeom import (DEFAULT_ALPHA, border_vertex_rows, interior_vertex_rows,
+                              outward_vectors)
 from udfmesh.mlp import encoded_dim
 
 from conftest import generic_spec
@@ -153,19 +153,26 @@ class TestOutwardVectors:
         assert not resolved.any()
 
 
+def derivative(rows, field, v, direction, alpha=DEFAULT_ALPHA):
+    """Full 3 x C derivative of one vertex: its direction times its row."""
+    direction = np.asarray(direction, float)
+    row = rows(field, np.asarray(v, float).reshape(1, 3), direction.reshape(1, 3), alpha)[0]
+    return np.outer(direction, row)
+
+
 class TestDerivativeRows:
     def test_translated_plane_vertex_tracks_parameter(self):
         field = TranslatedPlaneUdf(0.1)
-        d = interior_vertex_derivative(field, (0.3, -0.2, 0.1), (0, 0, 1.0))
+        d = derivative(interior_vertex_rows, field, (0.3, -0.2, 0.1), (0, 0, 1.0))
         np.testing.assert_allclose(d, [[0], [0], [1.0]])
 
     def test_sphere_vertex_moves_radially(self):
         field = SphereShellUdf(0.5)
         v = np.array([0.0, 0.0, 0.5])
-        d = interior_vertex_derivative(field, v, (0, 0, 1.0))
+        d = derivative(interior_vertex_rows, field, v, (0, 0, 1.0))
         np.testing.assert_allclose(d, [[0], [0], [1.0]])
         v = np.array([0.5, 0.0, 0.0])
-        d = interior_vertex_derivative(field, v, (1.0, 0, 0))
+        d = derivative(interior_vertex_rows, field, v, (1.0, 0, 0))
         np.testing.assert_allclose(d, [[1.0], [0], [0]])
 
     def test_sign_invariance_exact(self, rng):
@@ -175,15 +182,15 @@ class TestDerivativeRows:
             v = 0.45 * v / np.linalg.norm(v)
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
-            a = interior_vertex_derivative(field, v, n)
-            b = interior_vertex_derivative(field, v, -n)
+            a = derivative(interior_vertex_rows, field, v, n)
+            b = derivative(interior_vertex_rows, field, v, -n)
             np.testing.assert_array_equal(a, b)
 
     def test_border_row_extends_with_parameter(self):
         field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.0)
         v = np.array([0.3, 0.1, 0.0])
         o = np.array([1.0, 0.0, 0.0])
-        d = border_vertex_derivative(field, v, o)
+        d = derivative(border_vertex_rows, field, v, o)
         np.testing.assert_allclose(d, [[1.0], [0], [0]], atol=1e-12)
 
     def test_border_row_zero_for_distant_parameter(self):
@@ -192,7 +199,7 @@ class TestDerivativeRows:
         field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.0)
         v = np.array([-0.1, 0.5, 0.0])
         o = np.array([0.0, 1.0, 0.0])
-        d = border_vertex_derivative(field, v, o)
+        d = derivative(border_vertex_rows, field, v, o)
         np.testing.assert_array_equal(d, np.zeros((3, 1)))
 
     def test_locality_zero_sensitivity_means_zero_row(self):
@@ -200,7 +207,7 @@ class TestDerivativeRows:
         # vertex, so its row vanishes identically
         field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.0)
         v = np.array([-0.2, 0.1, 0.0])
-        d = interior_vertex_derivative(field, v, (0, 0, 1.0), alpha=1e-2)
+        d = derivative(interior_vertex_rows, field, v, (0, 0, 1.0), alpha=1e-2)
         np.testing.assert_array_equal(d, np.zeros((3, 1)))
 
     def test_raising_field_ahead_shrinks_surface(self):
@@ -210,7 +217,7 @@ class TestDerivativeRows:
         field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.0)
         v = np.array([0.3, 0.0, 0.0])
         o = np.array([1.0, 0.0, 0.0])
-        row = border_vertex_derivative(field, v, o)[:, 0]
+        row = derivative(border_vertex_rows, field, v, o)[:, 0]
         assert row @ o > 0
 
 
@@ -279,6 +286,13 @@ class TestDirectionalGradcheck:
         assert not rep.passed
         assert rep.worst is not None
 
+    def test_step_below_parameter_resolution_raises(self):
+        # eps * delta vanishes against the radius: no vertex could move, so
+        # a pass would say nothing
+        field = SphereShellUdf(0.45)
+        with pytest.raises(ValueError, match="leaves the parameters unchanged"):
+            directional_gradcheck(field, generic_spec(17), np.array([1.0]), eps=1e-300)
+
     def test_csv_has_one_row_per_check(self):
         field = TranslatedPlaneUdf(0.07)
         rep = directional_gradcheck(field, GridSpec(17), np.array([1.0]))
@@ -341,6 +355,13 @@ class TestFitPointCloud:
                               iters=3, lr=0.01)
         assert res.events == [(0, "empty mesh, fit stopped")]
         assert res.params[0] == 9.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected_naming_it(self, bad):
+        targets = np.zeros((5, 3))
+        targets[3, 1] = bad
+        with pytest.raises(ValueError, match=r"target point 3 is not finite"):
+            fit_point_cloud(SphereShellUdf(0.5), targets, GridSpec(9), iters=1)
 
     def test_trace_csv_format(self):
         rng = np.random.default_rng(2)

@@ -136,5 +136,19 @@ def test_non_finite_points_raise_one_error(name, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"query point 6 is not finite"):
             field.eval(pts)
-        with pytest.raises(ValueError, match=r"query point 0 is not finite"):
-            TranslatedMeshUdf(field, (0.0, np.nan, 0.0)).eval_grad(pts[:3])
+        # a translated field hands its shifted points to the same check; a
+        # non-finite offset is rejected when the field is built
+        with pytest.raises(ValueError, match=r"query point 2 is not finite"):
+            TranslatedMeshUdf(field, (0.0, 0.1, 0.0)).eval_grad(pts[4:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertex_rejected_at_build(bad):
+    mesh = MESHES["cylinder"]
+    vertices = mesh.vertices.copy()
+    vertices[5, 2] = bad
+    vertices[9, 0] = np.nan
+    with pytest.raises(ValueError, match=r"mesh vertex 5 is not finite"):
+        MeshDistanceIndex(vertices, mesh.faces)
+    with pytest.raises(ValueError, match=r"mesh vertex 5 is not finite"):
+        MeshUdf(TriMesh(vertices, mesh.faces))

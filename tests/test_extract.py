@@ -1,161 +1,124 @@
 import numpy as np
 import pytest
 
-from udfmesh import (GridSamples, GridSpec, SphereShellUdf,
-                     TranslatedPlaneUdf, candidate_cells, extract_mesh,
-                     extract_mesh_detailed, mesh_signed_grid, pseudo_sign_cell,
-                     sample_grid, triangulate_cell, write_obj)
-from udfmesh.extract import SKIP_NO_ANCHOR, SKIP_NO_CROSSING, _mesh_cells
+from udfmesh import (GridSpec, SphereShellUdf, TranslatedPlaneUdf, extract_mesh,
+                     extract_mesh_detailed, mesh_signed_grid, sample_grid, write_obj)
+from udfmesh.extract import _mesh_cells, _pseudo_sign
+from udfmesh.grid import _corner_table, _cull, _lattice_band, _sample_corners
 
 from conftest import generic_spec
 from oracles import signed_marching_cubes, unique_weld, vertex_sets_match
 
+# the one cell of a 2^3 lattice over [0,1]^3
+CELL_SPEC = GridSpec(2, (0, 0, 0), (1, 1, 1))
 
-def single_cell_samples(u_corners, g_corners):
-    """1-cell grid over [0,1]^3 with prescribed corner data (table order)."""
-    spec = GridSpec(2, (0, 0, 0), (1, 1, 1))
-    from udfmesh.mc_tables import CORNER_OFFSETS
-    u = np.zeros((2, 2, 2))
-    g = np.zeros((2, 2, 2, 3))
-    for c, (i, j, k) in enumerate(CORNER_OFFSETS):
-        u[i, j, k] = u_corners[c]
-        g[i, j, k] = g_corners[c]
-    return GridSamples(spec, u, g), spec
+
+def sign_cell(u8, g8, grad_norm_min=0.3, anchor=None):
+    """One cell's corner values and gradients (table order) through the
+    signing kernel: (signed values, anchor), or (None, None) when no
+    corner has a usable gradient."""
+    s, a, has_anchor = _pseudo_sign(np.asarray(u8, float)[None],
+                                    np.asarray(g8, float)[None], grad_norm_min, anchor)
+    return (s[0], int(a[0])) if has_anchor[0] else (None, None)
+
+
+def cell_triangles(spec, cell, s):
+    """Triangles of one signed cell as (n, 3, 3) vertex positions."""
+    mesh = _mesh_cells(spec, np.array([cell]), s[None])[0]
+    return mesh.vertices[mesh.faces]
 
 
 def slab_cell(step=1.0, plane_z=0.5):
-    """Cell crossed by the plane z = plane_z; corners 0-3 below, 4-7 above."""
+    """Cell crossed by the plane z = plane_z; corners 0-3 below, 4-7 above,
+    as (values, gradients) in table order."""
     u = [plane_z] * 4 + [step - plane_z] * 4
     g = [(0, 0, -1)] * 4 + [(0, 0, 1)] * 4
-    return single_cell_samples(u, g)
+    return u, g
+
+
+def candidates(field, spec):
+    """The candidate cells of a dense lattice with their corner values and
+    field gradients, as extraction reads them: (cells, u8, g8)."""
+    cells, u8 = _lattice_band(sample_grid(field, spec), -np.inf, spec.cell_diagonal)
+    keep = _cull(u8, spec, 1.0)
+    cells, u8 = cells[keep], u8[keep]
+    ids, index = _corner_table(spec, cells)
+    return cells, u8, _sample_corners(field, spec, None, True, ids)[1][index]
 
 
 class TestPseudoSignCell:
     def test_opposing_gradients_get_opposite_signs(self):
-        samples, _ = slab_cell()
-        cell = pseudo_sign_cell(samples, 0)
-        assert cell.skipped is None
-        assert cell.anchor == 0
-        assert (cell.values[:4] > 0).all()      # anchor side
-        assert (cell.values[4:] < 0).all()
-        np.testing.assert_allclose(np.abs(cell.values), samples.u.ravel()[0] * 0 + 0.5)
+        u, g = slab_cell()
+        s, anchor = sign_cell(u, g)
+        assert (s < 0).any()                 # a crossing: not skipped
+        assert anchor == 0
+        assert (s[:4] > 0).all()             # anchor side
+        assert (s[4:] < 0).all()
+        np.testing.assert_allclose(np.abs(s), 0.5)
 
     def test_forced_anchor_above_flips_signs(self):
-        samples, _ = slab_cell()
-        cell = pseudo_sign_cell(samples, 0, force_anchor=4)
-        assert (cell.values[4:] > 0).all()
-        assert (cell.values[:4] < 0).all()
+        s, _ = sign_cell(*slab_cell(), anchor=4)
+        assert (s[4:] > 0).all()
+        assert (s[:4] < 0).all()
 
     def test_parallel_gradients_no_crossing(self):
-        samples, _ = single_cell_samples([0.3] * 8, [(0, 0, 1)] * 8)
-        cell = pseudo_sign_cell(samples, 0)
-        assert cell.skipped == SKIP_NO_CROSSING
-        assert (cell.values >= 0).all()
+        s, _ = sign_cell([0.3] * 8, [(0, 0, 1)] * 8)
+        assert s is not None                 # anchored, but nothing to cut
+        assert (s >= 0).all()
 
     def test_all_gradients_weak_skips_cell(self):
-        samples, _ = single_cell_samples([0.3] * 8, [(0, 0, 0.1)] * 8)
-        cell = pseudo_sign_cell(samples, 0, grad_norm_min=0.3)
-        assert cell.skipped == SKIP_NO_ANCHOR
-        assert cell.values is None
+        s, anchor = sign_cell([0.3] * 8, [(0, 0, 0.1)] * 8, grad_norm_min=0.3)
+        assert s is None and anchor is None
 
     def test_anchor_prefers_largest_norm_then_lowest_index(self):
         g = [(0, 0, 1)] * 8
         g[3] = (0, 0, 2.0)
         g[6] = (0, 0, 2.0)
-        samples, _ = single_cell_samples([0.1] * 8, g)
-        assert pseudo_sign_cell(samples, 0).anchor == 3
+        assert sign_cell([0.1] * 8, g)[1] == 3
 
     def test_pseudo_magnitudes_equal_distances(self):
-        samples, _ = slab_cell(plane_z=0.3)
-        cell = pseudo_sign_cell(samples, 0)
-        np.testing.assert_array_equal(np.abs(cell.values),
-                                      [0.3] * 4 + [0.7] * 4)
-
-
-class RaisingField(SphereShellUdf):
-    """A field that fails every query."""
-
-    def _query(self, pts, grad, sens):
-        raise AssertionError("given gradients were re-queried from the field")
-
-
-class TestGivenGradients:
-    """Gradients given to ``GridSamples`` win over its field: they are
-    gathered, never evaluated again."""
-
-    def test_pseudo_sign_cell_reads_given_gradients(self):
-        samples, spec = slab_cell(plane_z=0.3)
-        given = GridSamples(spec, samples.u, samples.g, field=RaisingField(0.5))
-        cell = pseudo_sign_cell(given, 0)
-        assert cell.anchor == 0
-        np.testing.assert_array_equal(cell.values, [0.3] * 4 + [-0.7] * 4)
-        ids = np.arange(8)
-        np.testing.assert_array_equal(given.gradients(ids),
-                                      samples.g.transpose(2, 1, 0, 3).reshape(8, 3))
-
-    def test_extraction_reads_given_gradients(self):
-        spec = generic_spec(17)
-        dense = sample_grid(SphereShellUdf(0.5), spec)
-        ref_mesh, ref_stats = extract_mesh_detailed(SphereShellUdf(0.5), spec,
-                                                    samples=dense)
-        field = RaisingField(0.5)
-        given = GridSamples(spec, dense.u, dense.g, field=field)
-        mesh, stats = extract_mesh_detailed(field, spec, samples=given)
-        assert mesh.n_faces > 0
-        assert mesh.vertices.tobytes() == ref_mesh.vertices.tobytes()
-        assert mesh.faces.tobytes() == ref_mesh.faces.tobytes()
-        assert stats.triangulated_cells == ref_stats.triangulated_cells
-
-    def test_prescribed_gradients_drive_extraction(self):
-        # the slab cell's signs come from its prescribed gradients alone
-        samples, spec = slab_cell(plane_z=0.25)
-        field = RaisingField(0.5)
-        mesh, stats = extract_mesh_detailed(
-            field, spec, samples=GridSamples(spec, samples.u, samples.g, field=field))
-        assert stats.triangulated_cells == 1
-        np.testing.assert_allclose(mesh.vertices[:, 2], 0.25)
-
-    def test_samples_need_gradients_or_a_field(self):
-        spec = GridSpec(2)
-        with pytest.raises(ValueError, match="gradients or a field"):
-            GridSamples(spec, np.zeros((2, 2, 2)))
+        s, _ = sign_cell(*slab_cell(plane_z=0.3))
+        np.testing.assert_array_equal(np.abs(s), [0.3] * 4 + [0.7] * 4)
 
 
 class TestTriangulateCell:
     def test_slab_crossing_at_exact_plane_height(self):
-        samples, spec = slab_cell(plane_z=0.5)
-        cell = pseudo_sign_cell(samples, 0)
-        tris = triangulate_cell(cell, spec)
+        s, _ = sign_cell(*slab_cell(plane_z=0.5))
+        tris = cell_triangles(CELL_SPEC, 0, s)
         assert len(tris) == 2
         np.testing.assert_allclose(tris[..., 2], 0.5)
 
     def test_single_negative_corner_one_triangle(self):
         g = [(0, 0, 1)] * 8
         g[6] = (0, 0, -1)        # one corner on the other side
-        samples, spec = single_cell_samples([0.2] * 8, g)
-        cell = pseudo_sign_cell(samples, 0)
-        tris = triangulate_cell(cell, spec)
-        assert len(tris) == 1
+        s, _ = sign_cell([0.2] * 8, g)
+        assert len(cell_triangles(CELL_SPEC, 0, s)) == 1
 
     def test_equal_magnitudes_interpolate_midpoint(self):
-        samples, spec = slab_cell(plane_z=0.5)
-        cell = pseudo_sign_cell(samples, 0)
-        tris = triangulate_cell(cell, spec)
+        s, _ = sign_cell(*slab_cell(plane_z=0.5))
+        tris = cell_triangles(CELL_SPEC, 0, s)
         # u equal on both corners of every cut edge: t = 0.5 exactly
         assert set(np.round(tris[..., 2].ravel(), 15).tolist()) == {0.5}
 
     def test_skipped_cell_triangulates_empty(self):
-        samples, spec = single_cell_samples([0.3] * 8, [(0, 0, 0.1)] * 8)
-        cell = pseudo_sign_cell(samples, 0, grad_norm_min=0.3)
-        assert triangulate_cell(cell, spec).shape == (0, 3, 3)
+        # a cell without an anchor never reaches the case table, and a
+        # signed cell without a crossing gives no triangles
+        s, _ = sign_cell([0.3] * 8, [(0, 0, 0.1)] * 8, grad_norm_min=0.3)
+        assert s is None
+        s, _ = sign_cell([0.3] * 8, [(0, 0, 1)] * 8)
+        assert cell_triangles(CELL_SPEC, 0, s).shape == (0, 3, 3)
 
     def test_single_cell_wrappers_reproduce_extract_mesh(self):
+        # signing and triangulating the candidates one cell at a time gives
+        # the faces of the batched extraction, in order
         field = SphereShellUdf(0.5)
         spec = generic_spec(17)
-        samples = sample_grid(field, spec)
-        mesh = extract_mesh(field, spec, samples=samples)
-        tris = [triangulate_cell(pseudo_sign_cell(samples, int(c)), spec)
-                for c in candidate_cells(samples, spec)]
+        mesh = extract_mesh(field, spec, samples=sample_grid(field, spec))
+        tris = []
+        for c, u, g in zip(*candidates(field, spec)):
+            s, _ = sign_cell(u, g)
+            if s is not None:
+                tris.append(cell_triangles(spec, c, s))
         np.testing.assert_array_equal(np.concatenate(tris),
                                       mesh.vertices[mesh.faces])
 
@@ -164,23 +127,20 @@ class TestAnchorInvariance:
     def test_well_conditioned_cells_anchor_independent(self):
         field = SphereShellUdf(0.5)
         spec = generic_spec(17)
-        samples = sample_grid(field, spec)
         checked = 0
-        for cell_idx in candidate_cells(samples, spec)[:600]:
-            base = pseudo_sign_cell(samples, int(cell_idx))
-            if base.skipped is not None:
+        for c, u, g in list(zip(*candidates(field, spec)))[:600]:
+            base, _ = sign_cell(u, g)
+            if base is None or not (base < 0).any():
                 continue
-            norms_ok = True
             partitions = []
             tris = []
             for a in range(8):
-                cell = pseudo_sign_cell(samples, int(cell_idx), force_anchor=a)
-                partitions.append(cell.values < 0)
-                tris.append(triangulate_cell(cell, spec))
+                s, _ = sign_cell(u, g, anchor=a)
+                partitions.append(s < 0)
+                tris.append(cell_triangles(spec, c, s))
             # sign partition must agree up to global flip to compare
-            same = all(np.array_equal(partitions[0], p)
-                       or np.array_equal(partitions[0], ~p) for p in partitions)
-            if not (norms_ok and same):
+            if not all(np.array_equal(partitions[0], p)
+                       or np.array_equal(partitions[0], ~p) for p in partitions):
                 continue
             checked += 1
             ref = np.sort(tris[0].reshape(-1, 3), axis=0)
@@ -203,10 +163,10 @@ class TestWeld:
         np.testing.assert_allclose(mesh.vertices[:, 2], 0.13)
 
     def test_single_cell_vertex_count_equals_cut_edges(self):
-        samples, spec = slab_cell()
-        cell = pseudo_sign_cell(samples, 0)
-        mesh, vertex_ids, disagreements = _mesh_cells(spec, np.array([0]), cell.values[None])
-        ref_ids = unique_weld(spec, spec.cell_origin_ijk(np.array([0])), cell.values[None])[1]
+        s, _ = sign_cell(*slab_cell())
+        spec = CELL_SPEC
+        mesh, vertex_ids, disagreements = _mesh_cells(spec, np.array([0]), s[None])
+        ref_ids = unique_weld(spec, spec.cell_origin_ijk(np.array([0])), s[None])[1]
         assert mesh.n_vertices == len(ref_ids) == 4
         np.testing.assert_array_equal(vertex_ids, ref_ids)
         assert disagreements == 0
@@ -216,16 +176,15 @@ class TestWeld:
         # cells gets bitwise the same vertex from each of them
         field = SphereShellUdf(0.5)
         spec = generic_spec(17)
-        samples = sample_grid(field, spec)
         edge_ids, positions = [], []
-        for c in candidate_cells(samples, spec):
-            cell = pseudo_sign_cell(samples, int(c))
-            if cell.skipped is not None:
+        for c, u, g in zip(*candidates(field, spec)):
+            s, _ = sign_cell(u, g)
+            if s is None or not (s < 0).any():
                 continue
-            mesh, vertex_ids, _ = _mesh_cells(spec, np.array([c]), cell.values[None])
+            mesh, vertex_ids, _ = _mesh_cells(spec, np.array([c]), s[None])
             np.testing.assert_array_equal(
                 vertex_ids,
-                unique_weld(spec, spec.cell_origin_ijk(np.array([c])), cell.values[None])[1])
+                unique_weld(spec, spec.cell_origin_ijk(np.array([c])), s[None])[1])
             edge_ids.append(vertex_ids)    # the vertex order
             positions.append(mesh.vertices)
         ids, pos = np.concatenate(edge_ids), np.concatenate(positions)
@@ -320,6 +279,13 @@ class TestExtractMesh:
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
+    @pytest.mark.parametrize("shape", [(17, 17, 16), (17, 17, 17, 3), (4913,)],
+                             ids=["short-axis", "with-gradients", "flat"])
+    def test_samples_must_be_the_value_lattice(self, shape):
+        with pytest.raises(ValueError, match=r"do not fit a 17\^3 lattice"):
+            extract_mesh_detailed(SphereShellUdf(0.5), GridSpec(17),
+                                  samples=np.zeros(shape))
+
     def test_exact_corner_hits_are_quarantined_not_silent(self):
         # the half-unit sphere on the default lattice passes exactly through
         # six corners; those singular contacts surface as diagnosed
@@ -327,7 +293,7 @@ class TestExtractMesh:
         field = SphereShellUdf(0.5)
         spec = GridSpec(33)
         samples = sample_grid(field, spec)
-        assert int((samples.u == 0).sum()) == 6
+        assert int((samples == 0).sum()) == 6
         mesh, stats = extract_mesh_detailed(field, spec, samples=samples)
         assert stats.edge_disagreements > 0
         be = mesh.border_edges()
@@ -343,8 +309,7 @@ class TestSignedGrid:
     def test_sphere_inflation_shell_closed(self):
         field = SphereShellUdf(0.5)
         spec = generic_spec(33)
-        from udfmesh import sample_grid_values
-        values = sample_grid_values(field, spec)
+        values = sample_grid(field, spec)
         eps = 0.55 * float(spec.step.max())
         mesh = mesh_signed_grid(values - eps, spec)
         assert mesh.is_watertight()

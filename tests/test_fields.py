@@ -130,6 +130,30 @@ class TestParametricFamilies:
             parametric_field("torus", [])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: SphereShellUdf(NAN), "radius"),
+    (lambda: SphereShellUdf(INF), "radius"),
+    (lambda: OpenCylinderUdf(NAN), "radius"),
+    (lambda: OpenCylinderUdf(0.5, (-0.5, INF)), "z_range"),
+    (lambda: RectanglePatchUdf(NAN), "x_max"),
+    (lambda: RectanglePatchUdf(0.5, -INF), "x_min"),
+    (lambda: RectanglePatchUdf(0.5, -0.5, (NAN, 0.5)), "y_range"),
+    (lambda: RectanglePatchUdf(0.5, -0.5, (-0.5, 0.5), INF), "z0"),
+    (lambda: TranslatedPlaneUdf(NAN), "offset"),
+    (lambda: TranslatedMeshUdf(MeshUdf(primitives.square_patch(1.0)), (0, NAN, 0)),
+     "offset"),
+    (lambda: parametric_field("sphere", [NAN]), "radius"),
+], ids=["sphere-nan", "sphere-inf", "cylinder-nan", "cylinder-z-range", "patch-nan",
+        "patch-x-min", "patch-y-range", "patch-z0", "plane", "translated-mesh",
+        "factory"])
+def test_non_finite_shape_parameter_rejected(build, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build()
+
+
 class TestSinglePassQuery:
     def test_eval_grad_runs_shared_work_once(self, monkeypatch, unit_patch_field, rng):
         calls = Counter()

@@ -5,11 +5,11 @@ import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf,
                      RectanglePatchUdf, SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf,
-                     TriMesh,
-                     candidate_cells, dump_grid, extract_mesh_detailed, inflate_mesh,
+                     TriMesh, dump_grid, extract_mesh_detailed, inflate_mesh,
                      load_grid_dump, mesh_signed_grid, primitives, random_mlp,
-                     sample_grid, sample_grid_values)
-from udfmesh.grid import CHUNK, NonFiniteFieldError, sample_band
+                     sample_grid)
+from udfmesh.grid import (CHUNK, NonFiniteFieldError, _cull, _lattice_band,
+                          _sample_corners, sample_band)
 from udfmesh.mlp import VALUE_BLOCK
 from udfmesh.mc_tables import CORNER_OFFSETS
 
@@ -41,6 +41,14 @@ def assert_bitwise(a, b):
                                   np.ascontiguousarray(b).view(np.uint64))
 
 
+def lattice_gradients(field, spec, threads=None):
+    """Gradients at every corner, [i, j, k] indexed, through the one path
+    extraction reads gradients by: ``_sample_corners`` given corner ids."""
+    n = spec.resolution
+    g = _sample_corners(field, spec, threads, True, np.arange(n ** 3))[1]
+    return g.reshape(n, n, n, 3).transpose(2, 1, 0, 3)
+
+
 class TestGridSpec:
     def test_step_and_diagonal(self):
         spec = GridSpec(129)
@@ -52,6 +60,10 @@ class TestGridSpec:
             GridSpec(1)
         with pytest.raises(ValueError):
             GridSpec(10, (0, 0, 0), (0, 1, 1))
+        for lo, hi in [((-np.inf,) * 3, (1.0,) * 3), ((-1.0,) * 3, (1.0, np.inf, 1.0)),
+                       ((-1.0, np.nan, -1.0), (1.0,) * 3)]:
+            with pytest.raises(ValueError, match="bounds must be finite.*bounds_min"):
+                GridSpec(17, lo, hi)
 
     def test_corner_points_x_fastest(self):
         spec = GridSpec(3, (0, 0, 0), (2, 2, 2))
@@ -75,14 +87,14 @@ class TestSampleGrid:
         # exactly one unit above or below the sheet
         field = RectanglePatchUdf(1.0, -1.0, (-1.0, 1.0), 0.0)
         samples = sample_grid(field, GridSpec(3))
-        assert samples.u.size == 27
-        np.testing.assert_allclose(samples.u[:, :, 0], 1.0)
-        np.testing.assert_allclose(samples.u[:, :, 2], 1.0)
-        np.testing.assert_allclose(samples.u[:, :, 1], 0.0)
+        assert samples.shape == (3, 3, 3)
+        np.testing.assert_allclose(samples[:, :, 0], 1.0)
+        np.testing.assert_allclose(samples[:, :, 2], 1.0)
+        np.testing.assert_allclose(samples[:, :, 1], 0.0)
 
     def test_sphere_center_value(self):
         samples = sample_grid(SphereShellUdf(0.5), GridSpec(3))
-        assert samples.u[1, 1, 1] == pytest.approx(0.5)
+        assert samples[1, 1, 1] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_matches_direct_eval(self, name):
@@ -94,18 +106,17 @@ class TestSampleGrid:
         # corner_points runs x fastest; samples are indexed [i, j, k]
         u = field.eval(pts).reshape(n, n, n).transpose(2, 1, 0)
         g = field.grad_x(pts).reshape(n, n, n, 3).transpose(2, 1, 0, 3)
-        assert_bitwise(samples.u, u)
-        assert_bitwise(samples.g, g)
-        assert_bitwise(sample_grid_values(field, spec), u)
+        assert_bitwise(samples, u)
+        assert_bitwise(lattice_gradients(field, spec), g)
 
     def test_thread_count_does_not_change_results(self):
         field = SphereShellUdf(0.5)
         spec = GridSpec(33)                 # 35,937 corners: two chunks
         assert spec.resolution ** 3 > CHUNK
-        a = sample_grid(field, spec, threads=1)
-        b = sample_grid(field, spec, threads=4)
-        np.testing.assert_array_equal(a.u, b.u)
-        np.testing.assert_array_equal(a.g, b.g)
+        np.testing.assert_array_equal(sample_grid(field, spec, threads=1),
+                                      sample_grid(field, spec, threads=4))
+        np.testing.assert_array_equal(lattice_gradients(field, spec, threads=1),
+                                      lattice_gradients(field, spec, threads=4))
 
     def test_thread_env_var_respected_argument_wins(self, monkeypatch):
         from udfmesh.grid import THREADS_ENV_VAR, resolve_threads
@@ -121,18 +132,22 @@ class TestSampleGrid:
         field = MeshUdf(primitives.open_cylinder(radius=0.6, segments=36, rings=10))
         spec = GridSpec(64)
         samples = sample_grid(field, spec)
-        assert (samples.u >= 0).all()
-        off = samples.u > 1e-3
-        norms = np.linalg.norm(samples.g[off], axis=-1)
+        assert (samples >= 0).all()
+        off = samples > 1e-3
+        norms = np.linalg.norm(lattice_gradients(field, spec)[off], axis=-1)
         assert np.abs(norms - 1).max() < 1e-6
 
     def test_values_only_sampler_agrees(self):
+        # the values-only pass gives the values of a value-and-gradient pass
         field = SphereShellUdf(0.5)
         spec = GridSpec(17)
-        np.testing.assert_array_equal(sample_grid_values(field, spec),
-                                      sample_grid(field, spec).u)
+        np.testing.assert_array_equal(sample_grid(field, spec),
+                                      eager_sample_grid(field, spec, CHUNK)[0])
 
-    @pytest.mark.parametrize("sampler", [sample_grid, sample_grid_values])
+    @pytest.mark.parametrize("sampler", [
+        sample_grid,
+        lambda f, spec: sample_band(f, spec, -np.inf, spec.cell_diagonal),
+    ], ids=["sample_grid", "sample_band"])
     def test_non_finite_value_raises_naming_corner(self, sampler):
         data = random_mlp(hidden=(4,), encoding_order=2, seed=0).to_dict()
         data["biases"][-1][0] = float("nan")
@@ -210,16 +225,16 @@ ORACLE_FIELDS = oracle_fields()
 
 
 class TestGradientsOnDemand:
-    """``sample_grid`` evaluates values only; its gradients, read where
-    extraction needs them or over the whole lattice, are the bits of the
-    eager one-pass sampler."""
+    """``sample_grid`` evaluates values only, and extraction evaluates
+    gradients at the corners it signs; both are the bits of the eager
+    one-pass sampler."""
 
     @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
     def test_dense_extraction_matches_eager_sampler(self, name):
         field, spec = ORACLE_FIELDS[name], generic_spec(33)
         mesh, stats = extract_mesh_detailed(field, spec, samples=sample_grid(field, spec))
         ref_mesh, ref_stats = extract_mesh_detailed(
-            field, spec, samples=eager_sample_grid(field, spec, CHUNK))
+            field, spec, samples=eager_sample_grid(field, spec, CHUNK)[0])
         assert mesh.n_faces > 0
         assert_same_mesh(mesh, ref_mesh)
         for key in EXTRACT_COUNTERS:
@@ -231,12 +246,12 @@ class TestGradientsOnDemand:
     def test_whole_lattice_gradients_match_eager_sampler(self, name, threads):
         field, spec = ORACLE_FIELDS[name], generic_spec(33)
         assert spec.resolution ** 3 > CHUNK
-        ref = eager_sample_grid(field, spec, CHUNK)
-        samples = sample_grid(field, spec, threads=threads)
-        assert_bitwise(samples.u, ref.u)
-        assert_bitwise(samples.g, ref.g)
+        ref_u, ref_g = eager_sample_grid(field, spec, CHUNK)
+        assert_bitwise(sample_grid(field, spec, threads=threads), ref_u)
+        assert_bitwise(lattice_gradients(field, spec, threads), ref_g)
         ids = np.array([0, 5, 1000, 33 ** 3 - 1])
-        assert_bitwise(samples.gradients(ids), ref.gradients(ids))
+        assert_bitwise(_sample_corners(field, spec, threads, True, ids)[1],
+                       ref_g.transpose(2, 1, 0, 3).reshape(-1, 3)[ids])
 
 
 LIPSCHITZ_FAMILIES = [name for name, field in FAMILIES.items()
@@ -282,7 +297,7 @@ BANDS = [(-np.inf, GridSpec(33).cell_diagonal), (0.02, 0.02), (0.3, 0.4)]
 
 def flat_values(field, spec):
     """Exact corner values in x-fastest order, by dense sampling."""
-    return sample_grid_values(field, spec).transpose(2, 1, 0).ravel()
+    return sample_grid(field, spec).transpose(2, 1, 0).ravel()
 
 
 def cell_corner_ids(spec, cells):
@@ -314,7 +329,7 @@ class TestSampleBand:
 
         # the default eps, and one wide enough that blocks are certified
         # below it
-        dense_values = sample_grid_values(field, spec)
+        dense_values = sample_grid(field, spec)
         for eps in (0.55 * float(spec.step.max()), 0.2):
             dense_shell = mesh_signed_grid(dense_values - eps, spec)
             assert_same_mesh(inflate_mesh(field, spec, eps), dense_shell)
@@ -359,7 +374,7 @@ class TestSampleBand:
         # every cell the dense path culls in, or inflation meshes, is handed
         # over by the bounded producer
         field, spec = FAMILIES[name], make_spec(n)
-        dense = sample_grid_values(field, spec)
+        dense = sample_grid(field, spec)
 
         def ids(mask):
             return np.flatnonzero(mask.transpose(2, 1, 0).ravel())
@@ -422,31 +437,29 @@ class TestSampleBand:
         assert "no Lipschitz bound" in stats.summary()
 
 
-class TestCandidateCells:
-    def synthetic_samples(self, u_value, spec):
-        n = spec.resolution
-        u = np.full((n, n, n), float(u_value))
-        g = np.zeros((n, n, n, 3))
-        g[..., 2] = 1.0
-        from udfmesh import GridSamples
-        return GridSamples(spec, u, g)
+def candidate_cells(values, spec, cull_factor):
+    """Cells of an [i, j, k] value lattice that pass the cull, as
+    extraction selects them: the band below the cull distance, then the
+    mean-corner test."""
+    cells, u8 = _lattice_band(values, -np.inf, cull_factor * spec.cell_diagonal)
+    return cells[_cull(u8, spec, cull_factor)]
 
+
+class TestCandidateCells:
     def test_far_cell_excluded(self):
         spec = GridSpec(3)
-        samples = self.synthetic_samples(10 * spec.cell_diagonal, spec)
-        assert len(candidate_cells(samples, spec, 1.0)) == 0
+        values = np.full((3, 3, 3), 10 * spec.cell_diagonal)
+        assert len(candidate_cells(values, spec, 1.0)) == 0
 
     def test_zero_cell_included(self):
         spec = GridSpec(3)
-        samples = self.synthetic_samples(0.0, spec)
-        assert len(candidate_cells(samples, spec, 1.0)) == spec.n_cells
+        assert len(candidate_cells(np.zeros((3, 3, 3)), spec, 1.0)) == spec.n_cells
 
     def test_plane_crossing_cells_all_candidates(self):
         # every cell straddling the plane must survive culling
         field = TranslatedPlaneUdf(0.1)
         spec = GridSpec(64)
-        samples = sample_grid(field, spec)
-        cand = set(candidate_cells(samples, spec, 1.0).tolist())
+        cand = set(candidate_cells(sample_grid(field, spec), spec, 1.0).tolist())
         zs = spec.axis_coords(2)
         k_cross = np.flatnonzero((zs[:-1] <= 0.1) & (zs[1:] > 0.1))[0]
         m = spec.resolution - 1
@@ -457,9 +470,9 @@ class TestCandidateCells:
     def test_monotone_in_cull_factor(self):
         field = SphereShellUdf(0.5)
         spec = GridSpec(17)
-        samples = sample_grid(field, spec)
-        small = set(candidate_cells(samples, spec, 0.5).tolist())
-        large = set(candidate_cells(samples, spec, 2.0).tolist())
+        values = sample_grid(field, spec)
+        small = set(candidate_cells(values, spec, 0.5).tolist())
+        large = set(candidate_cells(values, spec, 2.0).tolist())
         assert small <= large
 
     def test_no_sphere_crossing_cell_culled_at_factor_one(self):
@@ -467,8 +480,7 @@ class TestCandidateCells:
         # of it, so its mean corner distance cannot exceed the diagonal
         field = SphereShellUdf(0.5)
         spec = GridSpec(33, (-1.0037,) * 3, (0.9963,) * 3)
-        samples = sample_grid(field, spec)
-        cand = set(candidate_cells(samples, spec, 1.0).tolist())
+        cand = set(candidate_cells(sample_grid(field, spec), spec, 1.0).tolist())
         pts = spec.corner_points()
         signed = (np.linalg.norm(pts, axis=1) - 0.5).reshape(
             (spec.resolution,) * 3, order="F")
@@ -477,17 +489,12 @@ class TestCandidateCells:
             ((neg > 0) & (neg < 8)).transpose(2, 1, 0).ravel())
         assert set(crossing.tolist()) <= cand
 
-    def test_value_array_needs_spec(self):
-        values = sample_grid_values(SphereShellUdf(0.5), GridSpec(5))
-        with pytest.raises(ValueError, match="needs spec"):
-            candidate_cells(values)
-        assert len(candidate_cells(values, GridSpec(5))) > 0
-
     def test_rejects_nonpositive_factor(self):
-        field = SphereShellUdf(0.5)
-        samples = sample_grid(field, GridSpec(5))
-        with pytest.raises(ValueError):
-            candidate_cells(samples, cull_factor=0.0)
+        spec = GridSpec(5)
+        with pytest.raises(ValueError, match="cull_factor must be positive"):
+            candidate_cells(sample_grid(SphereShellUdf(0.5), spec), spec, 0.0)
+        with pytest.raises(ValueError, match="cull_factor must be positive"):
+            extract_mesh_detailed(SphereShellUdf(0.5), spec, cull_factor=0.0)
 
 
 class TestGridDump:
@@ -496,17 +503,17 @@ class TestGridDump:
         spec = GridSpec(9, (-0.9, -1.0, -1.1), (1.1, 1.0, 0.9))
         samples = sample_grid(field, spec)
         base = str(tmp_path / "grid")
-        data_path, meta_path = dump_grid(samples.u, spec, base)
+        data_path, meta_path = dump_grid(samples, spec, base)
         values, spec_back = load_grid_dump(base)
         assert spec_back == spec
-        np.testing.assert_allclose(values, samples.u, atol=1e-6)
+        np.testing.assert_allclose(values, samples, atol=1e-6)
 
     def test_dump_is_float32_x_fastest(self, tmp_path):
         field = TranslatedPlaneUdf(0.0)
         spec = GridSpec(3, (0, 0, 0), (2, 2, 2))
         samples = sample_grid(field, spec)
         base = str(tmp_path / "grid")
-        dump_grid(samples.u, spec, base)
+        dump_grid(samples, spec, base)
         raw = np.fromfile(base + ".f32", dtype="<f4")
         assert raw.size == 27
         # first 9 values cover the z=0 sheet: distance 0 everywhere
