@@ -21,7 +21,7 @@ from .extract import extract_mesh_detailed
 from .fields import MeshUdf, UdfField, parametric_field
 from .grid import GridSpec, NonFiniteFieldError, dump_grid, sample_grid
 from .mlp import MlpUdf
-from .postprocess import remove_spurious_facets, smooth_borders
+from .postprocess import default_prune_tol, remove_spurious_facets, smooth_borders
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,17 +34,21 @@ class CliError(Exception):
         self.code = code
 
 
-def _add_field_args(p: argparse.ArgumentParser):
+def _add_field_args(p: argparse.ArgumentParser, mesh: bool = True):
+    """Field-source flags; ``mesh`` off leaves out the mesh source and its
+    ``--clamp``, for a command that needs a field with parameters."""
     src = p.add_argument_group("field source (pick one)")
-    src.add_argument("--mesh", metavar="PATH",
-                     help="reference mesh (OBJ/PLY); field is its exact UDF")
+    if mesh:
+        src.add_argument("--mesh", metavar="PATH",
+                         help="reference mesh (OBJ/PLY); field is its exact UDF")
     src.add_argument("--weights", metavar="PATH", help="MLP weight file (JSON)")
     src.add_argument("--family", metavar="NAME",
                      help="parametric family: plane, sphere, patch, cylinder")
     src.add_argument("--params", metavar="X[,Y...]",
                      help="parameters for --family or latent code for --weights")
-    p.add_argument("--clamp", type=float, default=None, metavar="D",
-                   help="clamp field values at D")
+    if mesh:
+        p.add_argument("--clamp", type=float, default=None, metavar="D",
+                       help="clamp field values at D")
 
 
 def _add_grid_args(p: argparse.ArgumentParser):
@@ -72,33 +76,25 @@ def _build_field(args) -> UdfField:
     sources = [s for s in ("mesh", "weights", "family") if getattr(args, s, None)]
     if len(sources) != 1:
         raise CliError("exactly one of --mesh, --weights, --family is required")
-    params = _parse_params(getattr(args, "params", None))
-    if args.mesh:
+    params = _parse_params(args.params)
+    if sources == ["mesh"]:
         if not os.path.exists(args.mesh):
             raise CliError(f"mesh file not found: {args.mesh}")
         try:
             ref = io.read_mesh(args.mesh)
         except (io.MeshFormatError, OSError) as exc:
             raise CliError(str(exc))
-        return MeshUdf(ref, d_max=getattr(args, "clamp", None))
+        return MeshUdf(ref, d_max=args.clamp)
     if args.weights:
-        return _load_weights(args.weights, params)
-    return _load_family(args.family, params if params is not None else [])
-
-
-def _load_weights(path, latent) -> MlpUdf:
-    if not os.path.exists(path):
-        raise CliError(f"weight file not found: {path}")
+        if not os.path.exists(args.weights):
+            raise CliError(f"weight file not found: {args.weights}")
+        try:
+            return MlpUdf.from_file(args.weights, params)
+        except (ValueError, OSError) as exc:
+            raise CliError(f"{args.weights}: {exc}")
     try:
-        return MlpUdf.from_file(path, latent)
-    except (ValueError, OSError) as exc:
-        raise CliError(f"{path}: {exc}")
-
-
-def _load_family(name, params) -> UdfField:
-    try:
-        return parametric_field(name, params)
-    except (ValueError, IndexError) as exc:
+        return parametric_field(args.family, params or [])
+    except ValueError as exc:
         raise CliError(str(exc))
 
 
@@ -123,7 +119,7 @@ def cmd_mesh(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
     cull_factor = _positive(args.cull_factor, "--cull-factor")
-    prune_tol = (0.5 * spec.cell_diagonal if args.prune_tol is None
+    prune_tol = (default_prune_tol(spec) if args.prune_tol is None
                  else _positive(args.prune_tol, "--prune-tol"))
     t0 = time.perf_counter()
     mesh, stats = extract_mesh_detailed(field, spec, cull_factor,
@@ -197,25 +193,8 @@ def _dump_normal_maps(pred, gt, out_dir):
                              render.normal_map_to_rgb(nrm, sil))
 
 
-def _load_field_descriptor(path) -> UdfField:
-    """Field from a JSON descriptor; a weight path is relative to it."""
-    if not os.path.exists(path):
-        raise CliError(f"field descriptor not found: {path}")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (ValueError, OSError) as exc:
-        raise CliError(f"{path}: {exc}")
-    if isinstance(data, dict) and "weights" in data:
-        base = os.path.dirname(os.path.abspath(path))
-        return _load_weights(os.path.join(base, data["weights"]), data.get("latent"))
-    if isinstance(data, dict) and "family" in data:
-        return _load_family(data["family"], data.get("params", []))
-    raise CliError(f"{path}: descriptor needs a 'family' or 'weights' key")
-
-
 def cmd_fit_pc(args) -> int:
-    field = _load_field_descriptor(args.field)
+    field = _build_field(args)
     if field.param_dim == 0:
         raise CliError("field has no free parameters to fit")
     if not os.path.exists(args.target):
@@ -331,9 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("fit-pc", help="fit field parameters to a point cloud")
-    p.add_argument("--field", required=True,
-                   help="JSON descriptor: {'family':..., 'params':[...]} or "
-                        "{'weights': 'net.json'}")
+    _add_field_args(p, mesh=False)
     p.add_argument("--target", required=True, help="XYZ point cloud")
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.02)

@@ -29,7 +29,7 @@ from .fields import UdfField
 from .grid import GridSpec
 from .mesh import TriMesh
 from .metrics import nearest_neighbor_sq, sample_surface
-from .postprocess import remove_spurious_facets, smooth_borders
+from .postprocess import default_prune_tol, remove_spurious_facets, smooth_borders
 
 DEFAULT_ALPHA = 1e-2
 
@@ -198,12 +198,12 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
                     iters: int = 100, lr: float = 0.02,
                     lambda_reg: float = 0.0, alpha: float = DEFAULT_ALPHA,
                     n_surface: int = 10000, use_border_formula: bool = True,
-                    adaptive: bool = False, prune_tol: float | None = None,
-                    smooth_steps: int = 5, seed: int = 0) -> FitResult:
+                    adaptive: bool = False, seed: int = 0) -> FitResult:
     """Descend the one-sided Chamfer loss from a sparse point cloud to the
     extracted surface, moving the field parameters.
 
-    Each iteration re-extracts the mesh, samples its surface (same seed
+    Each iteration re-extracts the mesh, prunes and border-smooths it with
+    the defaults of ``udfmesh mesh``, samples its surface (same seed
     every pass to keep gradient variance down), matches every target point
     to its nearest sample, and pushes the point-to-sample distances back
     through the barycentric weights and the vertex derivative rows. An
@@ -218,8 +218,7 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
     if len(bad):
         raise ValueError(f"target point {bad[0]} is not finite: {target[bad[0]].tolist()}")
     params = np.asarray(field.params, dtype=np.float64).copy()
-    if prune_tol is None:
-        prune_tol = 0.5 * spec.cell_diagonal
+    prune_tol = default_prune_tol(spec)
 
     result = FitResult(params=params, field=field)
     m1 = np.zeros_like(params)
@@ -230,8 +229,8 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
         mesh = extract_mesh(current, spec)
         if not mesh.is_empty():
             mesh = remove_spurious_facets(mesh, current, prune_tol)
-        if not mesh.is_empty() and smooth_steps > 0:
-            mesh = smooth_borders(mesh, steps=smooth_steps)
+        if not mesh.is_empty():
+            mesh = smooth_borders(mesh)
         if mesh.is_empty():
             # nothing to descend on, and the parameters cannot change again
             result.events.append((it, "empty mesh, fit stopped"))
@@ -306,9 +305,7 @@ def gradcheck_csv(records) -> str:
 
 def directional_gradcheck(field: UdfField, spec: GridSpec, delta: np.ndarray,
                           eps: float = 1e-3, alpha: float = DEFAULT_ALPHA,
-                          rtol: float = 0.10, atol: float = 1e-4,
-                          prune_tol: float | None = None,
-                          seed: int = 0) -> GradcheckReport:
+                          rtol: float = 0.10, atol: float = 1e-4) -> GradcheckReport:
     """Compare predicted vertex motion against re-extraction.
 
     The field is perturbed by eps*delta, the mesh re-extracted, and each
@@ -322,8 +319,7 @@ def directional_gradcheck(field: UdfField, spec: GridSpec, delta: np.ndarray,
     delta = np.asarray(delta, dtype=np.float64).reshape(-1)
     if field.param_dim == 0:
         return GradcheckReport(True, 0.0, None, 0, 0)
-    if prune_tol is None:
-        prune_tol = 0.5 * spec.cell_diagonal
+    prune_tol = default_prune_tol(spec)
 
     base_params = np.asarray(field.params, dtype=np.float64)
     if np.array_equal(base_params + eps * delta, base_params):

@@ -133,10 +133,6 @@ class MeshDistanceIndex:
         faces = np.asarray(faces, dtype=np.int64)
         if len(faces) == 0:
             raise ValueError("mesh has no triangles")
-        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
-        if len(bad):
-            raise ValueError(f"mesh vertex {bad[0]} is not finite: "
-                             f"{vertices[bad[0]].tolist()}")
         triangles = vertices[faces]
         centroids = triangles.mean(axis=1)
         # farthest vertex-to-centroid distance: the mesh's length scale

@@ -195,6 +195,8 @@ class RectanglePatchUdf(UdfField):
         _finite(x_max=x_max, x_min=x_min, y_range=y_range, z0=z0)
         if x_max <= x_min:
             raise ValueError("x_max must exceed x_min")
+        if y_range[1] <= y_range[0]:
+            raise ValueError("y_range must increase")
         self.x_max = float(x_max)
         self.x_min = float(x_min)
         self.y_range = (float(y_range[0]), float(y_range[1]))
@@ -237,6 +239,8 @@ class OpenCylinderUdf(UdfField):
         _finite(radius=radius, z_range=z_range)
         if radius <= 0:
             raise ValueError("radius must be positive")
+        if z_range[1] <= z_range[0]:
+            raise ValueError("z_range must increase")
         self.radius = float(radius)
         self.z_range = (float(z_range[0]), float(z_range[1]))
 
@@ -303,21 +307,18 @@ PARAMETRIC_FAMILIES = {
 
 
 def parametric_field(family: str, params) -> UdfField:
-    """Build a parametric field from a family name and parameter list."""
+    """Build a parametric field from a family name and parameter list:
+    the family's default shape for no parameters, else exactly
+    ``param_dim`` of them."""
     try:
         cls = PARAMETRIC_FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(PARAMETRIC_FAMILIES))
         raise ValueError(f"unknown field family {family!r} (expected one of: {known})")
     params = [float(p) for p in np.atleast_1d(params)]
-    if family == "plane":
-        return cls(params[0] if params else 0.0)
-    if family == "sphere":
-        return cls(params[0] if params else 0.5)
-    if family == "patch":
-        return cls(*params) if params else cls()
-    if family == "cylinder":
-        if len(params) >= 3:
-            return cls(params[0], (params[1], params[2]))
-        return cls(params[0]) if params else cls()
-    raise AssertionError
+    if not params:
+        return cls()
+    if len(params) != cls.param_dim:
+        raise ValueError(f"family {family!r} takes {cls.param_dim} parameter(s), "
+                         f"got {len(params)}")
+    return cls().with_params(params)

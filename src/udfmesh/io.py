@@ -50,8 +50,15 @@ def read_obj(path) -> TriMesh:
                         faces.append([idx[0] - 1, idx[k] - 1, idx[k + 1] - 1])
             except (ValueError, IndexError) as exc:
                 raise MeshFormatError(f"{path}:{lineno}: bad OBJ line: {exc}")
-    return TriMesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
-                   np.array(faces, dtype=np.int64).reshape(-1, 3))
+    return _mesh(path, verts, faces)
+
+
+def _mesh(path, vertices, faces) -> TriMesh:
+    """The mesh read from ``path``; a vertex or face it refuses names the file."""
+    try:
+        return TriMesh(vertices, faces)
+    except ValueError as exc:
+        raise MeshFormatError(f"{path}: {exc}")
 
 
 def write_ply(mesh: TriMesh, path) -> None:
@@ -111,10 +118,6 @@ def read_ply(path) -> TriMesh:
         raw = np.frombuffer(fh.read(vdtype.itemsize * n_verts), dtype=vdtype,
                             count=n_verts)
         verts = np.stack([raw[f"p{i}"].astype(np.float64) for i in range(3)], axis=1)
-        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
-        if bad.size:
-            raise MeshFormatError(f"{path}: vertex {bad[0]} is not finite: "
-                                  f"{tuple(verts[bad[0]].tolist())}")
 
         faces = np.empty((n_faces, 3), dtype=np.int64)
         for i in range(n_faces):
@@ -124,7 +127,7 @@ def read_ply(path) -> TriMesh:
                 raise MeshFormatError(f"{path}: face {i} has {count} vertices; "
                                       "only triangles supported")
             faces[i] = idx
-    return TriMesh(verts, faces)
+    return _mesh(path, verts, faces)
 
 
 def write_mesh(mesh: TriMesh, path) -> None:

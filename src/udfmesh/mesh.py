@@ -7,29 +7,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TriMesh:
     """Triangle mesh as (V, 3) float vertices and (F, 3) int faces.
 
-    Connectivity (edges, vertex->face and border tables) and face normals
-    are derived lazily and cached, the normals as read-only arrays. Edit
-    vertices or faces only through copies, or call ``invalidate`` after an
-    in-place edit. ``with_vertices`` moves the vertices in a copy that
-    shares the connectivity tables, which never read positions, but not
-    the face normals.
+    A mesh is an immutable value, checked once when it is built: every
+    vertex is finite and every face index is in range. ``vertices`` and
+    ``faces`` are read-only; a writeable input array is copied, a read-only
+    one (another mesh's faces, say) is shared. Connectivity (edges,
+    vertex->face and border tables) and face normals are derived lazily
+    and cached, the normals as read-only arrays. ``with_vertices`` moves
+    the vertices in a new mesh that shares the faces and the connectivity
+    tables, which never read positions, but not the face normals.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
-        if self.faces.size and self.faces.max() >= len(self.vertices):
+        vertices = _frozen_rows(self.vertices, np.float64)
+        faces = _frozen_rows(self.faces, np.int64)
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            x, y, z = vertices[bad[0]]
+            raise ValueError(f"vertex {bad[0]} is not finite: ({x}, {y}, {z})")
+        if faces.size and faces.max() >= len(vertices):
             raise ValueError("face index out of range")
-        if self.faces.size and self.faces.min() < 0:
+        if faces.size and faces.min() < 0:
             raise ValueError("negative face index")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "faces", faces)
 
     @property
     def n_vertices(self) -> int:
@@ -42,15 +50,10 @@ class TriMesh:
     def is_empty(self) -> bool:
         return self.n_faces == 0
 
-    def invalidate(self):
-        """Drop the cached tables and face normals; needed after any
-        in-place edit of ``vertices`` or ``faces``."""
-        self._cache.clear()
-
     def with_vertices(self, vertices) -> "TriMesh":
-        """A copy with these vertex positions and the same faces. It shares
+        """A mesh with these vertex positions and the same faces. It shares
         the connectivity tables, never the face normals."""
-        mesh = TriMesh(vertices, self.faces.copy())
+        mesh = TriMesh(vertices, self.faces)
         if mesh.n_vertices != self.n_vertices:
             raise ValueError("with_vertices needs one position per vertex")
         mesh._cache.update((k, v) for k, v in self._cache.items()
@@ -175,9 +178,6 @@ class TriMesh:
         face_centers = self.vertices[self.faces].mean(axis=1)
         return (face_centers * areas[:, None]).sum(axis=0) / total
 
-    def copy(self) -> "TriMesh":
-        return TriMesh(self.vertices.copy(), self.faces.copy())
-
     def select_faces(self, keep: np.ndarray) -> "TriMesh":
         """Sub-mesh of the kept faces, orphaned vertices dropped, reindexed."""
         faces = self.faces[np.asarray(keep)]
@@ -199,6 +199,15 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _frozen_rows(a, dtype) -> np.ndarray:
+    """``a`` as a read-only (n, 3) array of ``dtype``. An array the caller
+    could still write through is copied first."""
+    rows = np.asarray(a, dtype=dtype)
+    if isinstance(a, np.ndarray) and rows.flags.writeable and np.may_share_memory(rows, a):
+        rows = rows.copy()
+    return _read_only(rows.reshape(-1, 3))
 
 
 def empty_mesh() -> TriMesh:

@@ -53,13 +53,6 @@ class MetricsReport:
                 "ic_cosine_over": "co-covered pixels"}
 
 
-def _require_finite(mesh: TriMesh, name: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{name} has a non-finite vertex: vertex {bad[0]} "
-                         f"is {tuple(mesh.vertices[bad[0]].tolist())}")
-
-
 def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
     """Area-weighted surface samples with their face normals.
 
@@ -69,7 +62,6 @@ def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
     """
     if mesh.is_empty():
         raise ValueError("cannot sample an empty mesh")
-    _require_finite(mesh, "mesh")
     areas = mesh.face_areas()
     total = areas.sum()
     if total <= 0:
@@ -133,8 +125,6 @@ def image_consistency(pred: TriMesh, gt: TriMesh, size: int = render.IMAGE_SIZE)
     """Silhouette IoU times normal-map cosine over 8 views, in percent."""
     if pred.is_empty() or gt.is_empty():
         raise ValueError("image consistency requires non-empty meshes")
-    _require_finite(pred, "pred")
-    _require_finite(gt, "gt")
     cams, target = render.scene_cameras(pred, gt)
 
     scores = []
@@ -161,8 +151,6 @@ def image_consistency(pred: TriMesh, gt: TriMesh, size: int = render.IMAGE_SIZE)
 def evaluate_pair(pred: TriMesh, gt: TriMesh, n_samples: int = DEFAULT_SAMPLES,
                   seed: int = 0, image_size: int = render.IMAGE_SIZE) -> MetricsReport:
     """All three metrics between a reconstruction and a reference mesh."""
-    _require_finite(pred, "pred")
-    _require_finite(gt, "gt")
     timings = {}
     t0 = time.perf_counter()
     a_pts, a_nrm, _, _ = sample_surface(pred, n_samples, seed)

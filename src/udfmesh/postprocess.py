@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import UdfField
+from .grid import GridSpec
 from .mesh import TriMesh
+
+
+def default_prune_tol(spec: GridSpec) -> float:
+    """Facet pruning distance: half a cell diagonal of the lattice."""
+    return 0.5 * spec.cell_diagonal
 
 
 def remove_spurious_facets(mesh: TriMesh, field: UdfField, tol: float) -> TriMesh:
@@ -20,7 +26,7 @@ def remove_spurious_facets(mesh: TriMesh, field: UdfField, tol: float) -> TriMes
     if tol <= 0:
         raise ValueError("tol must be positive")
     if mesh.is_empty():
-        return mesh.copy()
+        return mesh
     near = field.eval(mesh.vertices) <= tol
     keep = near[mesh.faces].all(axis=1)
     return mesh.select_faces(keep)
@@ -37,7 +43,7 @@ def smooth_borders(mesh: TriMesh, steps: int = 5, weight: float = 0.5) -> TriMes
     count, nbrs, _ = mesh.border_table()
     idx = np.flatnonzero(count == 2)
     if steps <= 0 or len(idx) == 0:
-        return mesh.copy()
+        return mesh
 
     verts = mesh.vertices.copy()
     for _ in range(steps):

@@ -317,8 +317,9 @@ def test_criterion_7_postprocessing():
     from test_postprocess import strip_mesh
     mesh = strip_mesh(zigzag=0.0, segments=24)
     jag = np.where(np.arange(25) % 2 == 1, 0.25, -0.15)
-    mesh.vertices[1:24, 1] += jag[1:24]
-    mesh.invalidate()
+    verts = mesh.vertices.copy()
+    verts[1:24, 1] += jag[1:24]
+    mesh = mesh.with_vertices(verts)
     chain = np.arange(6, 19)
     def deviation(m):
         x, y = m.vertices[chain, 0], m.vertices[chain, 1]

@@ -164,15 +164,14 @@ class TestTriMeshTables:
         np.testing.assert_array_equal(nbrs, [[1, 2], [0, 3], [0, 3], [1, 2]])
         np.testing.assert_array_equal(face, [0, 0, 0, 1])
 
-    def test_tables_are_cached_until_invalidate(self):
+    def test_tables_are_cached(self):
         mesh = primitives.square_patch(side=1.0, subdivisions=2)
         table = mesh.border_table()
         assert mesh.border_table() is table
         assert mesh.vertex_faces() is mesh.vertex_faces()
-        mesh.invalidate()
-        assert mesh.border_table() is not table
+        assert TriMesh(mesh.vertices, mesh.faces).border_table() is not table
 
-    def test_face_normals_are_read_only_and_recomputed_after_invalidate(self):
+    def test_face_normals_are_read_only_and_follow_moved_vertices(self):
         mesh = primitives.square_patch(side=1.0, subdivisions=2)
         cross, unit = mesh.face_normals(normalize=False), mesh.face_normals()
         assert mesh.face_normals(normalize=False) is cross
@@ -180,8 +179,9 @@ class TestTriMeshTables:
         for a in (cross, unit):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 1.0
-        mesh.vertices[:, 2] += 0.5 * mesh.vertices[:, 0] ** 2
-        mesh.invalidate()
+        verts = mesh.vertices.copy()
+        verts[:, 2] += 0.5 * verts[:, 0] ** 2
+        mesh = mesh.with_vertices(verts)
         fresh = TriMesh(mesh.vertices.copy(), mesh.faces)
         assert not np.array_equal(mesh.face_normals(), unit)
         for normalize in (False, True):

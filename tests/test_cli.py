@@ -23,12 +23,16 @@ def nan_weights(tmp_path):
     return wpath
 
 
-def bad_descriptor(tmp_path, text):
-    desc = tmp_path / "field.json"
-    desc.write_text(text)
+def fit_pc(tmp_path, *field_args):
     target = tmp_path / "t.xyz"
     write_xyz(np.zeros((4, 3)), target)
-    return ["fit-pc", "--field", desc, "--target", target]
+    return ["fit-pc", *field_args, "--target", target]
+
+
+def not_json(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text("{not json")
+    return path
 
 
 def patch_obj(tmp_path):
@@ -47,8 +51,8 @@ SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
 
 
 @pytest.mark.parametrize("argv", [
-    lambda tmp: bad_descriptor(tmp, json.dumps({"weights": "missing.json"})),
-    lambda tmp: bad_descriptor(tmp, "{not json"),
+    lambda tmp: fit_pc(tmp, "--weights", tmp / "missing.json"),
+    lambda tmp: fit_pc(tmp, "--weights", not_json(tmp)),
     lambda tmp: ["mesh-inflate", *SPHERE, "--eps", "-1", "--out", tmp / "o.obj"],
     lambda tmp: ["mesh-inflate", *SPHERE, "--eps", "0", "--out", tmp / "o.obj"],
     lambda tmp: ["mesh", *SPHERE, "--cull-factor", "0", "--out", tmp / "o.obj"],
@@ -60,7 +64,7 @@ SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
     lambda tmp: ["metrics", "--pred", non_finite_obj(tmp, "nan"), "--gt", patch_obj(tmp)],
     lambda tmp: ["metrics", "--pred", patch_obj(tmp), "--gt", non_finite_obj(tmp, "inf")],
     lambda tmp: ["mesh", "--family", "sphere", "--params", "nan", "--out", tmp / "o.obj"],
-], ids=["missing-weights", "descriptor-not-json", "eps-negative", "eps-zero",
+], ids=["missing-weights", "weights-not-json", "eps-negative", "eps-zero",
         "cull-factor-zero", "prune-tol-negative", "prune-tol-zero",
         "gradcheck-eps-zero", "metrics-no-samples", "metrics-nan-vertex",
         "metrics-inf-vertex", "family-param-nan"])
@@ -205,10 +209,8 @@ class TestFitCommand:
                                    np.full(100, 0.1)])
         tpath = tmp_path / "target.xyz"
         write_xyz(targets, tpath)
-        desc = tmp_path / "field.json"
-        desc.write_text(json.dumps({"family": "plane", "params": [0.005]}))
         trace = tmp_path / "trace.csv"
-        code = run("fit-pc", "--field", desc, "--target", tpath,
+        code = run("fit-pc", "--family", "plane", "--params", "0.005", "--target", tpath,
                    "--iters", "30", "--lr", "0.01", "--res", "17",
                    "--trace", trace)
         assert code == 0
@@ -220,11 +222,11 @@ class TestFitCommand:
         assert len(lines) == 31
 
     def test_mesh_field_rejected(self, tmp_path, capsys):
-        desc = tmp_path / "field.json"
-        desc.write_text(json.dumps({"family": "nosuch"}))
-        tpath = tmp_path / "t.xyz"
-        write_xyz(np.zeros((4, 3)), tpath)
-        assert run("fit-pc", "--field", desc, "--target", tpath) == 2
+        # a mesh field has no parameters, so fit-pc offers no mesh source
+        with pytest.raises(SystemExit) as exc:
+            run(*fit_pc(tmp_path, "--mesh", patch_obj(tmp_path)))
+        assert exc.value.code == 2
+        assert run(*fit_pc(tmp_path, "--family", "nosuch")) == 2
 
 
 class TestGradcheckCommand:

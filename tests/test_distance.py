@@ -144,11 +144,10 @@ def test_non_finite_points_raise_one_error(name, bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_vertex_rejected_at_build(bad):
+    # the mesh refuses the vertex, so no MeshUdf is built on one
     mesh = MESHES["cylinder"]
     vertices = mesh.vertices.copy()
     vertices[5, 2] = bad
     vertices[9, 0] = np.nan
-    with pytest.raises(ValueError, match=r"mesh vertex 5 is not finite"):
-        MeshDistanceIndex(vertices, mesh.faces)
-    with pytest.raises(ValueError, match=r"mesh vertex 5 is not finite"):
+    with pytest.raises(ValueError, match=r"^vertex 5 is not finite"):
         MeshUdf(TriMesh(vertices, mesh.faces))

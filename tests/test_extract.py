@@ -3,6 +3,7 @@ import pytest
 
 from udfmesh import (GridSpec, SphereShellUdf, TranslatedPlaneUdf, extract_mesh,
                      extract_mesh_detailed, mesh_signed_grid, sample_grid, write_obj)
+from udfmesh import mc_tables
 from udfmesh.extract import _mesh_cells, _pseudo_sign
 from udfmesh.grid import _corner_table, _cull, _lattice_band, _sample_corners
 
@@ -79,6 +80,19 @@ class TestPseudoSignCell:
     def test_pseudo_magnitudes_equal_distances(self):
         s, _ = sign_cell(*slab_cell(plane_z=0.3))
         np.testing.assert_array_equal(np.abs(s), [0.3] * 4 + [0.7] * 4)
+
+
+def test_edge_tables_derive_from_corner_offsets():
+    # the tables as they were written out by hand
+    np.testing.assert_array_equal(mc_tables.EDGE_CORNERS_LOW_HIGH, [
+        (0, 1), (1, 2), (3, 2), (0, 3), (4, 5), (5, 6), (7, 6), (4, 7),
+        (0, 4), (1, 5), (2, 6), (3, 7)])
+    np.testing.assert_array_equal(mc_tables.EDGE_AXIS, [0, 1, 0, 1, 0, 1, 0, 1, 2, 2, 2, 2])
+    np.testing.assert_array_equal(mc_tables.EDGE_BASE, [
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (1, 0, 1),
+        (0, 1, 1), (0, 0, 1), (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
+    for table in (mc_tables.EDGE_CORNERS_LOW_HIGH, mc_tables.EDGE_AXIS, mc_tables.EDGE_BASE):
+        assert table.dtype == np.int64
 
 
 class TestTriangulateCell:
@@ -320,13 +334,14 @@ class TestSignedGrid:
         assert np.abs(r - 0.5).max() <= eps + spec.cell_diagonal
 
     def test_nan_corner_counts_as_outside(self):
-        # a NaN corner is not negative, so it triangulates like a positive one
+        # a NaN corner is not negative, so it reads as outside and cuts the
+        # edges to its negative neighbours; the vertices interpolated there
+        # are NaN, and the mesh refuses them (were it inside, there would be
+        # no surface and no error)
         spec = GridSpec(3)
         values = np.full((3, 3, 3), -1.0)
-        positive = values.copy()
-        positive[1, 1, 1] = 1.0
+        assert mesh_signed_grid(values, spec).is_empty()
         values[1, 1, 1] = np.nan
-        with np.errstate(invalid="ignore"):
-            mesh = mesh_signed_grid(values, spec)
-        assert mesh.n_faces == 8
-        np.testing.assert_array_equal(mesh.faces, mesh_signed_grid(positive, spec).faces)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="is not finite: \\(nan"):
+            mesh_signed_grid(values, spec)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from udfmesh import (SphereShellUdf, TriMesh, extract_mesh, read_mesh,
+from udfmesh import (SphereShellUdf, extract_mesh, read_mesh,
                      read_obj, read_ply, read_xyz, write_obj, write_ply,
                      write_xyz)
 from udfmesh.io import MeshFormatError
@@ -68,10 +68,13 @@ class TestPly:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_vertex_rejected(self, sphere_mesh, tmp_path, value):
-        verts = sphere_mesh.vertices.copy()
-        verts[5, 1] = value
         path = tmp_path / "bad.ply"
-        write_ply(TriMesh(verts, sphere_mesh.faces), path)
+        write_ply(sphere_mesh, path)
+        # overwrite y of vertex 5 in the double-precision vertex block
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"end_header\n") + len(b"end_header\n") + (5 * 3 + 1) * 8
+        blob[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(MeshFormatError, match="bad.ply: vertex 5 is not finite"):
             read_ply(path)
 

@@ -38,8 +38,9 @@ class TestRemoveSpuriousFacets:
     def test_face_with_one_far_vertex_removed(self):
         field = TranslatedPlaneUdf(0.0)
         mesh = strip_mesh()
-        mesh.vertices[2, 2] = 1.0    # strip corner lifted well past the tol
-        mesh.invalidate()
+        verts = mesh.vertices.copy()
+        verts[2, 2] = 1.0    # strip corner lifted well past the tol
+        mesh = mesh.with_vertices(verts)
         out = remove_spurious_facets(mesh, field, tol=0.1)
         assert out.n_faces == mesh.n_faces - 1   # only the face touching it
         assert out.n_vertices == mesh.n_vertices - 1   # orphan dropped
@@ -73,8 +74,9 @@ class TestRemoveSpuriousFacets:
     def test_idempotent(self):
         field = TranslatedPlaneUdf(0.0)
         mesh = strip_mesh()
-        mesh.vertices[5, 2] = 0.4
-        mesh.invalidate()
+        verts = mesh.vertices.copy()
+        verts[5, 2] = 0.4
+        mesh = mesh.with_vertices(verts)
         once = remove_spurious_facets(mesh, field, tol=0.1)
         twice = remove_spurious_facets(once, field, tol=0.1)
         np.testing.assert_array_equal(once.vertices, twice.vertices)
@@ -107,8 +109,9 @@ class TestSmoothBorders:
         mesh = strip_mesh(zigzag=0.0, segments=24)
         jags = np.where(np.arange(25) % 2 == 1, 0.3, -0.1)
         jags *= 1.0 + 0.3 * np.sin(np.arange(25))
-        mesh.vertices[1:24, 1] += jags[1:24]
-        mesh.invalidate()
+        verts = mesh.vertices.copy()
+        verts[1:24, 1] += jags[1:24]
+        mesh = mesh.with_vertices(verts)
         chain = list(range(6, 19))   # straight stretch away from the corners
         amp = self.zigzag_deviation(mesh, chain)
         current = mesh

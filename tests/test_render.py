@@ -180,10 +180,11 @@ def test_face_larger_than_a_batch(size):
     assert sil.all()
 
 
-@pytest.mark.parametrize("bad", (1e154, 1e300, np.inf, -np.inf, np.nan))
+@pytest.mark.parametrize("bad", (1e154, 1e300))
 def test_huge_and_non_finite_vertices(bad):
-    # vertices whose projections overflow or are not numbers render as the
-    # loop renders them, without an error
+    # finite vertices whose projections overflow to non-finite values render
+    # as the loop renders them, without an error (a mesh cannot hold a
+    # non-finite vertex itself)
     mesh = soup(np.random.default_rng(3), 80)
     for axis in range(3):
         verts = mesh.vertices.copy()
