@@ -84,7 +84,10 @@ def _build_field(args) -> UdfField:
             ref = io.read_mesh(args.mesh)
         except (io.MeshFormatError, OSError) as exc:
             raise CliError(str(exc))
-        return MeshUdf(ref, d_max=args.clamp)
+        try:
+            return MeshUdf(ref, d_max=args.clamp)
+        except ValueError as exc:
+            raise CliError(f"--clamp: {exc}")
     if args.weights:
         if not os.path.exists(args.weights):
             raise CliError(f"weight file not found: {args.weights}")

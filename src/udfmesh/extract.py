@@ -33,8 +33,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (GridSpec, _corner_subtable, _corner_table, _cull, _group_runs,
-                   _lattice_band, _min_corner_ids, _sample_corners, sample_band)
+from .grid import (GridSpec, NonFiniteFieldError, _corner_subtable, _corner_table,
+                   _cull, _group_runs, _lattice_band, _min_corner_ids, _sample_corners,
+                   sample_band)
 from .mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE,
                         EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
 from .mesh import TriMesh, empty_mesh
@@ -169,6 +170,24 @@ def _mesh_cells(spec: GridSpec, cells: np.ndarray, s: np.ndarray):
     return TriMesh(vertices, faces), vertex_ids, disagreements
 
 
+def _check_lattice(values: np.ndarray, spec: GridSpec, what: str) -> None:
+    """Refuse a value lattice that is not (N, N, N) for ``spec`` with a
+    ``ValueError``, and one holding NaN or infinity with a
+    ``NonFiniteFieldError`` naming its first such corner in x-fastest
+    order, as ``sample_grid`` does."""
+    n = spec.resolution
+    if np.shape(values) != (n, n, n):
+        raise ValueError(f"{what} of shape {np.shape(values)} do not fit a {n}^3 lattice")
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    bad = np.argwhere(~finite)
+    i, j, k = bad[np.argmin(spec.corner_linear_index(bad))]
+    x, y, z = (spec.axis_coords(a)[c] for a, c in enumerate((i, j, k)))
+    raise NonFiniteFieldError(f"{what} hold a non-finite value at corner [{i}, {j}, {k}] "
+                              f"({x:.6g}, {y:.6g}, {z:.6g})")
+
+
 def extract_mesh_detailed(field, spec: GridSpec,
                           cull_factor: float = DEFAULT_CULL_FACTOR,
                           grad_norm_min: float = DEFAULT_GRAD_NORM_MIN,
@@ -181,9 +200,10 @@ def extract_mesh_detailed(field, spec: GridSpec,
     the cull test with their exact corner values, evaluating a field that
     declares a Lipschitz bound only where the bound cannot rule the test
     out. ``samples`` is an (N, N, N) value lattice, as ``sample_grid``
-    returns. Either way the field's gradients are evaluated only at the
-    corners of candidate cells, and the output is the same as from dense
-    ``samples``.
+    returns, checked like it: a non-finite value raises
+    ``NonFiniteFieldError`` naming its corner. Either way the field's
+    gradients are evaluated only at the corners of candidate cells, and the
+    output is the same as from dense ``samples``.
 
     An edge cut in one sign-assigned cell but uncut in another is counted in
     ``edge_disagreements``. Neighboring cells can disagree near borders when
@@ -198,9 +218,7 @@ def extract_mesh_detailed(field, spec: GridSpec,
                                                                 upper, threads)
         stats.corner_source = CORNERS_DENSE if field.lipschitz is None else CORNERS_BOUND
     else:
-        if np.shape(samples) != (spec.resolution,) * 3:
-            raise ValueError(f"samples of shape {np.shape(samples)} do not fit a "
-                             f"{spec.resolution}^3 lattice")
+        _check_lattice(samples, spec, "samples")
         cells, u8 = _lattice_band(samples, -np.inf, upper)
         table = _corner_table(spec, cells)
         stats.corner_source = CORNERS_GIVEN
@@ -239,9 +257,9 @@ def extract_mesh(field, spec: GridSpec,
 
 
 def mesh_signed_grid(values: np.ndarray, spec: GridSpec) -> TriMesh:
-    """Standard signed marching cubes over corner values (negative inside)."""
-    n = spec.resolution
-    assert values.shape == (n, n, n)
+    """Standard signed marching cubes over corner values (negative inside),
+    checked as ``extract_mesh_detailed`` checks its ``samples``."""
+    _check_lattice(values, spec, "values")
     return _mesh_signed_cells(spec, *_lattice_band(values, 0.0, 0.0))
 
 

@@ -34,6 +34,17 @@ def _finite(**params) -> None:
             raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
 
 
+def _clamp(d_max) -> float | None:
+    """A clamp distance: None for no clamp, else a finite positive float, so
+    a clamped field stays a non-negative distance."""
+    if d_max is None:
+        return None
+    d_max = float(d_max)
+    if not (np.isfinite(d_max) and d_max > 0):
+        raise ValueError(f"d_max must be finite and positive, got {d_max}")
+    return d_max
+
+
 def _as_points(x) -> tuple[np.ndarray, bool]:
     pts = np.asarray(x, dtype=np.float64)
     single = pts.ndim == 1
@@ -95,7 +106,7 @@ class MeshUdf(UdfField):
 
     def __init__(self, mesh: TriMesh, d_max: float | None = None):
         self.mesh = mesh
-        self.d_max = d_max
+        self.d_max = _clamp(d_max)
         self.index = MeshDistanceIndex(mesh.vertices, mesh.faces)
 
     def closest_point(self, x) -> np.ndarray:

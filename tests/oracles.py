@@ -4,10 +4,11 @@ Everything here is deliberately written plain and separate from the library
 paths it validates: corner sums of every cell of a whole lattice, a
 per-cell signed marching cubes with its own interpolation and
 coordinate-keyed welding, an O(n^2) Chamfer scan, a loop-based MLP forward
-pass, the allocating MLP forward and reverse pass that recomputes the
-encoding's sines and cosines, lattice sampling that evaluates values and
-gradients at every corner in one pass, per-vertex / per-edge loop versions of vertex normals, outward
-border vectors and border smoothing, a per-face loop z-buffer, and the
+pass, the Fourier encoding evaluated directly at every coordinate, the
+allocating MLP forward and reverse pass that recomputes the encoding's sines
+and cosines, lattice sampling that evaluates values and gradients at every
+corner in one pass, per-vertex / per-edge loop versions of vertex normals,
+outward border vectors and border smoothing, a per-face loop z-buffer, and the
 exact mesh distance as a sweep over the faces with a closest-point kernel
 that evaluates every region for every pair, and extraction as it ran
 before the corner table: ``np.unique`` over (m, 8, 3) and (m, 12, 3)
@@ -131,18 +132,24 @@ def scripted_mlp_forward(data: dict, point) -> float:
     return u
 
 
+def direct_positional_encoding(pts: np.ndarray, order: int) -> np.ndarray:
+    """``mlp.positional_encoding`` with the sines and cosines evaluated at
+    every coordinate, however often it repeats."""
+    feats = [pts]
+    for k in range(order):
+        w = (2.0 ** k) * np.pi
+        feats.append(np.sin(w * pts))
+        feats.append(np.cos(w * pts))
+    return np.concatenate(feats, axis=1)
+
+
 def allocating_mlp_query(net, pts: np.ndarray, grad: bool, sens: bool):
     """``MlpUdf`` queries as one allocating pass: every layer's bias add and
     rectifier make new arrays, every pre-activation is kept, and the
     encoding Jacobian recomputes its sines and cosines. Returns
     (u, g, s, pre_acts) with g and s None unless asked for."""
     order = net.encoding_order
-    feats = [pts]
-    for k in range(order):
-        w = (2.0 ** k) * np.pi
-        feats.append(np.sin(w * pts))
-        feats.append(np.cos(w * pts))
-    h = np.concatenate(feats, axis=1)
+    h = direct_positional_encoding(pts, order)
     if net.latent_dim:
         h = np.concatenate([h, np.broadcast_to(net.latent, (len(pts), net.latent_dim))],
                            axis=1)

@@ -5,7 +5,8 @@ from udfmesh import (GridSpec, SphereShellUdf, TranslatedPlaneUdf, extract_mesh,
                      extract_mesh_detailed, mesh_signed_grid, sample_grid, write_obj)
 from udfmesh import mc_tables
 from udfmesh.extract import _mesh_cells, _pseudo_sign
-from udfmesh.grid import _corner_table, _cull, _lattice_band, _sample_corners
+from udfmesh.grid import (NonFiniteFieldError, _corner_table, _cull, _lattice_band,
+                          _sample_corners)
 
 from conftest import generic_spec
 from oracles import signed_marching_cubes, unique_weld, vertex_sets_match
@@ -333,15 +334,13 @@ class TestSignedGrid:
         assert r.max() > 0.5 + 0.5 * eps
         assert np.abs(r - 0.5).max() <= eps + spec.cell_diagonal
 
-    def test_nan_corner_counts_as_outside(self):
-        # a NaN corner is not negative, so it reads as outside and cuts the
-        # edges to its negative neighbours; the vertices interpolated there
-        # are NaN, and the mesh refuses them (were it inside, there would be
-        # no surface and no error)
+    def test_non_finite_corner_is_named(self):
+        # a NaN corner is neither inside nor outside: the lattice is refused
+        # at entry, naming the corner, before any edge is cut next to it
         spec = GridSpec(3)
         values = np.full((3, 3, 3), -1.0)
         assert mesh_signed_grid(values, spec).is_empty()
         values[1, 1, 1] = np.nan
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="is not finite: \\(nan"):
+        with pytest.raises(NonFiniteFieldError, match=r"^values hold a non-finite value "
+                           r"at corner \[1, 1, 1\] \(0, 0, 0\)"):
             mesh_signed_grid(values, spec)

@@ -1,9 +1,10 @@
 """Hostile inputs and the outcome each one gets.
 
 Every case names what it feeds in and what must come out: a ``ValueError``
-whose message names the bad argument, or, at the command line, exit code 2
-with one ``error:`` line and no traceback. Inputs come from seeded numpy
-generators.
+whose message names the bad argument (for a value lattice, the
+``NonFiniteFieldError`` that ``sample_grid`` raises, naming the corner), or,
+at the command line, exit code 2 with one ``error:`` line and no traceback.
+Inputs come from seeded numpy generators.
 """
 
 import dataclasses
@@ -12,9 +13,12 @@ import struct
 import numpy as np
 import pytest
 
-from udfmesh import (OpenCylinderUdf, RectanglePatchUdf, TriMesh,
-                     parametric_field, primitives, write_ply)
+from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
+                     SphereShellUdf, TranslatedMeshUdf, TriMesh, extract_mesh_detailed,
+                     mesh_signed_grid, parametric_field, primitives, random_mlp,
+                     sample_grid, write_ply)
 from udfmesh.fields import PARAMETRIC_FAMILIES
+from udfmesh.grid import NonFiniteFieldError
 
 from test_cli import patch_obj, run
 
@@ -95,6 +99,72 @@ def test_family_reversed_range(build, message):
         build()
 
 
+# -- clamps and latent codes --------------------------------------------------
+
+@pytest.mark.parametrize("d_max", [-1.0, 0.0, NAN, INF], ids=["negative", "zero", "nan", "inf"])
+@pytest.mark.parametrize("build", [
+    lambda d: MeshUdf(primitives.square_patch(), d_max=d),
+    lambda d: TranslatedMeshUdf(MeshUdf(primitives.square_patch(), d_max=d), (0.1, 0, 0)),
+    lambda d: random_mlp(hidden=(4,), encoding_order=2, d_max=d),
+], ids=["mesh", "translated-mesh", "mlp"])
+def test_clamp_must_be_finite_and_positive(build, d_max):
+    # a negative clamp made every value negative, a NaN one every value NaN
+    with pytest.raises(ValueError, match="^d_max must be finite and positive"):
+        build(d_max)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_mlp_latent_must_be_finite(bad):
+    net = random_mlp(hidden=(4,), encoding_order=2, latent_dim=3, seed=1)
+    latent = [0.1, bad, 0.2]
+    with pytest.raises(ValueError, match="^latent must be finite"):
+        net.with_latent(latent)
+    with pytest.raises(ValueError, match="^latent must be finite"):
+        net.with_params(latent)
+    with pytest.raises(ValueError, match="^latent must be finite"):
+        MlpUdf.from_dict(net.to_dict(), latent)
+
+
+# -- value lattices ------------------------------------------------------------
+
+SPEC17 = GridSpec(17, (-1.0037,) * 3, (0.9963,) * 3)
+
+
+def sphere_lattice():
+    return sample_grid(SphereShellUdf(0.5), SPEC17)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_samples_non_finite_corner_is_named(bad):
+    # NaN on a z-line and at a corner before it in [i, j, k] order; the
+    # first in x-fastest order is [8, 8, 0]. The cells around such corners
+    # were culled without a word, taking the mesh from 560 to 536 faces
+    values = sphere_lattice()
+    assert extract_mesh_detailed(SphereShellUdf(0.5), SPEC17, samples=values)[0].n_faces == 560
+    values[8, 8, :] = bad
+    values[3, 8, 8] = bad
+    with pytest.raises(NonFiniteFieldError, match=r"^samples hold a non-finite value at "
+                       r"corner \[8, 8, 0\] \(-0.0037, -0.0037, -1.0037\)"):
+        extract_mesh_detailed(SphereShellUdf(0.5), SPEC17, samples=values)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_signed_lattice_non_finite_corner_is_named(bad):
+    values = sphere_lattice() - 0.05
+    values[5, 2, 9] = bad
+    values[15, 1, 9] = bad
+    with pytest.raises(NonFiniteFieldError, match=r"^values hold a non-finite value at "
+                       r"corner \[15, 1, 9\]"):
+        mesh_signed_grid(values, SPEC17)
+
+
+@pytest.mark.parametrize("shape", [(17, 17, 16), (17, 17, 17, 3), (4913,)],
+                         ids=["short-axis", "with-gradients", "flat"])
+def test_signed_lattice_shape(shape):
+    with pytest.raises(ValueError, match=r"^values of shape .* do not fit a 17\^3 lattice"):
+        mesh_signed_grid(np.zeros(shape), SPEC17)
+
+
 # -- command line --------------------------------------------------------------
 
 def obj_with_face(tmp_path, face):
@@ -121,8 +191,10 @@ def ply_with_face(tmp_path, face):
                  "--out", tmp / "o.obj"],
     lambda tmp: ["mesh", "--family", "cylinder", "--params", "0.5,0.1", "--res", "9",
                  "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", "--mesh", patch_obj(tmp), "--clamp", "-1", "--res", "9",
+                 "--out", tmp / "o.obj"],
 ], ids=["obj-face-out-of-range", "obj-face-negative", "ply-face-out-of-range",
-        "ply-face-negative", "patch-arity", "cylinder-arity"])
+        "ply-face-negative", "patch-arity", "cylinder-arity", "negative-clamp"])
 def test_cli_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from udfmesh import MlpUdf, WeightFileError, random_mlp
-from udfmesh.grid import CHUNK
-from udfmesh.mlp import VALUE_BLOCK, encoded_dim
+from udfmesh import GridSpec, MlpUdf, WeightFileError, positional_encoding, random_mlp
+from udfmesh.grid import CHUNK, sample_grid
+from udfmesh.mlp import TABLE_WINDOW, VALUE_BLOCK, encoded_dim
 
 from conftest import wavy_patch_mlp
 from oracles import (allocating_hidden_sign_pattern, allocating_mlp_query,
-                     scripted_mlp_forward)
+                     direct_positional_encoding, eager_sample_grid, scripted_mlp_forward)
 
 
 def zero_network(final_bias: float, encoding_order: int = 2) -> MlpUdf:
@@ -148,6 +148,45 @@ B = VALUE_BLOCK
 EDGE_SIZES = [1, B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, CHUNK - 1, CHUNK]
 
 
+# lattice corners: few distinct coordinates, each repeated across many rows;
+# 35,937 corners, more than a chunk
+LATTICE = GridSpec(33, (-1.0037,) * 3, (0.9963,) * 3)
+# query sizes on either side of the block edges and the feature-table windows
+W = TABLE_WINDOW
+LATTICE_SIZES = sorted({*EDGE_SIZES, W - 1, W, W + 1, 2 * W + 1})
+NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0]
+COORDINATE_SETS = {
+    "repeated": np.random.default_rng(1).uniform(-1, 1, 7),
+    "signed-zeros": np.array([0.0, -0.0, 0.25, -0.25]),
+    "non-finite": np.array([0.0, -0.0, 1 / 3, np.nan, NAN_PAYLOAD, np.inf, -np.inf]),
+}
+
+
+def assert_queries_bitwise(field, pts):
+    """Every query of ``field`` at ``pts`` byte for byte against the
+    allocating pass, which encodes every coordinate directly."""
+    u, g, s, _ = allocating_mlp_query(field, pts, True, True)
+    assert_bitwise(field.eval(pts), u)
+    assert_bitwise(field.grad_x(pts), g)
+    ug = field.eval_grad(pts)
+    assert_bitwise(ug[0], u)
+    assert_bitwise(ug[1], g)
+    if field.param_dim:
+        assert_bitwise(field.param_sensitivity(pts), s)
+    assert_bitwise(field.hidden_sign_pattern(pts), allocating_hidden_sign_pattern(field, pts))
+
+
+def traced_eval_peak(field, pts) -> int:
+    """The ``tracemalloc`` peak of one values-only query, after a warm-up."""
+    field.eval(pts[:10])
+    tracemalloc.start()
+    try:
+        field.eval(pts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestInPlacePass:
     """The in-place forward pass and the reverse pass that reads the
     encoding's sines and cosines give the bits of the allocating pass."""
@@ -180,30 +219,18 @@ class TestInPlacePass:
     @pytest.mark.parametrize("n", EDGE_SIZES)
     @pytest.mark.parametrize("name", list(ORACLE_NETS))
     def test_block_edges_match_allocating_pass(self, name, n, rng):
-        field = ORACLE_NETS[name]()
-        pts = rng.uniform(-1, 1, (n, 3))
-        u, g, s, _ = allocating_mlp_query(field, pts, True, True)
-        assert_bitwise(field.eval(pts), u)
-        assert_bitwise(field.grad_x(pts), g)
-        ug = field.eval_grad(pts)
-        assert_bitwise(ug[0], u)
-        assert_bitwise(ug[1], g)
-        if field.param_dim:
-            assert_bitwise(field.param_sensitivity(pts), s)
+        assert_queries_bitwise(ORACLE_NETS[name](), rng.uniform(-1, 1, (n, 3)))
 
     def test_values_pass_holds_one_block(self, rng):
         # a whole-chunk pass of the 3x128 network keeps two 32 MB activations
-        # alive (72 MB traced); row blocks keep under 1.5 MB
-        field = wavy_patch_mlp(1)
-        pts = rng.uniform(-1, 1, (CHUNK, 3))
-        field.eval(pts[:10])
-        tracemalloc.start()
-        try:
-            field.eval(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        # alive (72 MB traced); row blocks keep under 1.5 MB, and one feature
+        # table per 2,048-row window of scattered points adds about 1.3 MB
+        assert traced_eval_peak(wavy_patch_mlp(1), rng.uniform(-1, 1, (CHUNK, 3))) < 4 * 2 ** 20
+
+    def test_lattice_values_pass_holds_one_block(self):
+        # a chunk of lattice corners has few distinct coordinates, so its
+        # feature tables are small; the layer buffers set the peak
+        assert traced_eval_peak(wavy_patch_mlp(1), LATTICE.corner_points()[:CHUNK]) < 4 * 2 ** 20
 
     def test_nan_bias_propagates_as_before(self, rng):
         field = random_mlp(hidden=(8, 8), encoding_order=2, latent_dim=2,
@@ -217,6 +244,46 @@ class TestInPlacePass:
         assert_bitwise(field.param_sensitivity(pts), s)
         np.testing.assert_array_equal(field.hidden_sign_pattern(pts),
                                       allocating_hidden_sign_pattern(field, pts))
+
+
+class TestFeatureTable:
+    """Queries that encode each distinct coordinate once give the bits of
+    the direct encoding, on lattice corners and on repeated, signed-zero and
+    non-finite coordinates."""
+
+    @pytest.mark.parametrize("n", LATTICE_SIZES)
+    @pytest.mark.parametrize("name", list(ORACLE_NETS))
+    def test_lattice_corners_match_allocating_pass(self, name, n):
+        # start mid-row, so windows and blocks cut lattice rows
+        assert_queries_bitwise(ORACLE_NETS[name](), LATTICE.corner_points()[37:37 + n])
+
+    @pytest.mark.parametrize("kind", list(COORDINATE_SETS))
+    @pytest.mark.parametrize("name", list(ORACLE_NETS))
+    def test_repeated_coordinates_match_allocating_pass(self, name, kind, rng):
+        pts = rng.choice(COORDINATE_SETS[kind], (2 * W + 1, 3))
+        with np.errstate(invalid="ignore"):
+            assert_queries_bitwise(ORACLE_NETS[name](), pts)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided-rows", "strided-columns"])
+    @pytest.mark.parametrize("order", [0, 1, 5])
+    def test_positional_encoding_matches_direct_encoding(self, order, layout, rng):
+        pts = np.concatenate([LATTICE.corner_points()[:1500],
+                              rng.choice(COORDINATE_SETS["non-finite"], (500, 3)),
+                              rng.uniform(-1, 1, (500, 3))])
+        if layout == "strided-rows":
+            pts = np.repeat(pts, 2, axis=0)[::2]
+        elif layout == "strided-columns":
+            pts = np.repeat(pts, 2, axis=1)[:, ::2]
+        assert pts.flags.c_contiguous == (layout == "contiguous")
+        with np.errstate(invalid="ignore"):
+            enc = positional_encoding(pts, order)
+            assert enc.shape == (len(pts), encoded_dim(order))
+            assert_bitwise(enc, direct_positional_encoding(pts, order))
+
+    @pytest.mark.parametrize("name", list(ORACLE_NETS))
+    def test_sample_grid_matches_eager_pass(self, name):
+        field = ORACLE_NETS[name]()
+        assert_bitwise(sample_grid(field, LATTICE), eager_sample_grid(field, LATTICE, CHUNK)[0])
 
 
 class TestSerialization:
