@@ -20,7 +20,7 @@ from .io import (read_mesh, read_obj, read_ply, read_xyz, write_mesh,
 from .mesh import TriMesh, empty_mesh
 from .metrics import (MetricsReport, chamfer, evaluate_pair, image_consistency,
                       inflate_mesh, normal_consistency, sample_surface)
-from .mlp import MlpUdf, WeightFileError, positional_encoding, random_mlp
+from .mlp import MlpUdf, WeightFileError, random_mlp
 from .postprocess import remove_spurious_facets, smooth_borders
 from . import primitives
 
@@ -35,8 +35,8 @@ __all__ = [
     "extract_mesh", "extract_mesh_detailed", "fit_point_cloud",
     "image_consistency", "inflate_mesh", "load_grid_dump", "mesh_signed_grid",
     "normal_consistency", "outward_vectors", "parametric_field",
-    "positional_encoding", "primitives", "random_mlp", "read_mesh", "read_obj",
-    "read_ply", "read_xyz", "remove_spurious_facets", "sample_grid",
-    "sample_surface", "smooth_borders", "vertex_normals", "write_mesh",
-    "write_obj", "write_ply", "write_xyz",
+    "primitives", "random_mlp", "read_mesh", "read_obj", "read_ply",
+    "read_xyz", "remove_spurious_facets", "sample_grid", "sample_surface",
+    "smooth_borders", "vertex_normals", "write_mesh", "write_obj", "write_ply",
+    "write_xyz",
 ]

@@ -48,7 +48,7 @@ def _add_field_args(p: argparse.ArgumentParser, mesh: bool = True):
                      help="parameters for --family or latent code for --weights")
     if mesh:
         p.add_argument("--clamp", type=float, default=None, metavar="D",
-                       help="clamp field values at D")
+                       help="clamp the --mesh field at D")
 
 
 def _add_grid_args(p: argparse.ArgumentParser):
@@ -76,6 +76,11 @@ def _build_field(args) -> UdfField:
     sources = [s for s in ("mesh", "weights", "family") if getattr(args, s, None)]
     if len(sources) != 1:
         raise CliError("exactly one of --mesh, --weights, --family is required")
+    # a flag the chosen source does not read is refused, not dropped
+    if sources == ["mesh"] and args.params is not None:
+        raise CliError("--params is not read with --mesh")
+    if sources != ["mesh"] and getattr(args, "clamp", None) is not None:
+        raise CliError("--clamp is read only with --mesh")
     params = _parse_params(args.params)
     if sources == ["mesh"]:
         if not os.path.exists(args.mesh):

@@ -28,6 +28,10 @@ BATCH = 2048          # points per traversal; bounds the per-point arrays
 PAIRS = 1 << 16       # (point, box) pairs per pruning step; bounds the rest
 SLACK = 1e-9          # relative widening of every pruning radius
 MORTON_BITS = 10      # centroid quantization per axis for the build order
+# largest coordinate magnitude of a vertex or query point: the closest-point
+# walk multiplies two dot products of coordinate differences, a fourth power
+# of the coordinates, and below 1e75 those stay under 432e300, inside float64
+COORD_LIMIT = 1e75
 
 
 def closest_point_on_triangles(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -97,6 +101,16 @@ def closest_point_on_triangles(points: np.ndarray, triangles: np.ndarray) -> np.
     return out
 
 
+def _check_coordinates(pts: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first row of ``pts`` with a
+    coordinate that is not finite or exceeds ``COORD_LIMIT`` in magnitude."""
+    bad = np.flatnonzero(~(np.abs(pts) <= COORD_LIMIT).all(axis=1))
+    if len(bad):
+        x, y, z = pts[bad[0]]
+        raise ValueError(f"{what} {bad[0]} is not finite or exceeds {COORD_LIMIT:g} "
+                         f"in magnitude: ({x}, {y}, {z})")
+
+
 def _morton_order(centroids: np.ndarray) -> np.ndarray:
     """Stable order of the centroids along a Z-order curve over their box."""
     lo, hi = centroids.min(axis=0), centroids.max(axis=0)
@@ -133,6 +147,7 @@ class MeshDistanceIndex:
         faces = np.asarray(faces, dtype=np.int64)
         if len(faces) == 0:
             raise ValueError("mesh has no triangles")
+        _check_coordinates(vertices, "vertex")
         triangles = vertices[faces]
         centroids = triangles.mean(axis=1)
         # farthest vertex-to-centroid distance: the mesh's length scale
@@ -162,14 +177,11 @@ class MeshDistanceIndex:
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distances and closest surface points for (n, 3) queries.
 
-        Raises ``ValueError`` naming the first point with a non-finite
-        coordinate.
+        Raises ``ValueError`` naming the first point with a coordinate that
+        is not finite or exceeds ``COORD_LIMIT`` in magnitude.
         """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-        if len(bad):
-            x, y, z = points[bad[0]]
-            raise ValueError(f"query point {bad[0]} is not finite: ({x}, {y}, {z})")
+        _check_coordinates(points, "query point")
         d = np.empty(len(points))
         cp = np.empty((len(points), 3))
         for s in range(0, len(points), BATCH):

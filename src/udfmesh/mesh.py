@@ -158,9 +158,6 @@ class TriMesh:
     def face_areas(self) -> np.ndarray:
         return 0.5 * np.linalg.norm(self.face_normals(normalize=False), axis=1)
 
-    def area(self) -> float:
-        return float(self.face_areas().sum())
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         if self.n_vertices == 0:
             z = np.zeros(3)

@@ -19,14 +19,12 @@ axis, and every query gathers its rows from one small table of sines and
 cosines. Values match on their bit patterns, so the gathered features are
 bitwise those of evaluating the map at every coordinate.
 
-A values-only query runs in row blocks of ``VALUE_BLOCK`` points, so each
-layer's activations stay cache-sized however many points the query has;
-each block writes its slice of one result array, and the values are bitwise
-those of one pass over the whole query. One feature table serves each
-window of ``TABLE_WINDOW`` rows, and the blocks reuse one input buffer and
-two layer buffers. Gradient and sensitivity queries run as one pass:
-OpenBLAS hands the small products of a narrow network's reverse pass to
-another kernel, so blocking them would change their bits.
+Every query runs one forward pass, in cache-sized row blocks of
+``VALUE_BLOCK`` points with one feature table per ``TABLE_WINDOW`` rows,
+bitwise one pass over the whole query. Gradients and sensitivities then
+run one reverse pass over the whole query, which reads nothing of the
+forward layers but their signs, one byte per hidden unit (``MlpUdf._query``
+gives the reasons for both).
 """
 
 from __future__ import annotations
@@ -71,18 +69,6 @@ def _feature_table(pts: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return table, inv.reshape(np.shape(pts))
 
 
-def positional_encoding(pts: np.ndarray, order: int) -> np.ndarray:
-    """The (n, encoded_dim(order)) float64 features of (n, 3) points,
-    gathered from ``_feature_table``: column 3 r + c holds table row r of
-    coordinate c. One table row at a time, so no (rows, n, 3) temporary is
-    made."""
-    table, inv = _feature_table(pts, order)
-    enc = np.empty((len(inv), len(table), inv.shape[1]))
-    for r, row in enumerate(table):
-        enc[:, r] = row[inv]
-    return enc.reshape(len(inv), len(table) * inv.shape[1])
-
-
 def _encoding_jacobian_apply(enc: np.ndarray, order: int, grad_enc: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. encoded features back to the raw coordinates,
     reading the sines and cosines from the encoding ``enc`` itself."""
@@ -97,9 +83,9 @@ def _encoding_jacobian_apply(enc: np.ndarray, order: int, grad_enc: np.ndarray) 
     return g
 
 
-VALUE_BLOCK = 512             # rows per block of a values-only query
-TABLE_WINDOW = 2048           # rows per feature table of a values-only query,
-                              # a whole number of blocks
+VALUE_BLOCK = 512             # rows per block of a query's forward pass
+TABLE_WINDOW = 2048           # rows per feature table of a query, a whole
+                              # number of blocks
 
 
 class MlpUdf(UdfField):
@@ -165,132 +151,97 @@ class MlpUdf(UdfField):
 
     # -- forward / reverse ---------------------------------------------------
 
-    def _forward(self, x: np.ndarray, keep: bool, out=None):
-        """The layers over the network input ``x`` (rows, encoded + latent):
-        ``(raw, acts)``, the network output before the absolute value and,
-        with ``keep``, the output of every layer (rectified for hidden
-        layers; None without ``keep``, so a values-only pass holds one
-        layer at a time).
+    def _forward(self, x: np.ndarray, out, masks=None) -> np.ndarray:
+        """The network output before the absolute value, over the network
+        input ``x`` (rows, encoded + latent).
 
-        Biases and rectifiers apply in place. A rectified activation is
-        positive exactly where its pre-activation is, so the kept layers
-        give the reverse pass and ``hidden_sign_pattern`` their masks.
-        ``out`` is a pair of flat buffers: layer i's product then goes into
-        a C-contiguous (rows, width) view of ``out[i % 2]``, not a new array.
+        ``out`` is a pair of flat buffers: layer i's product goes into a
+        C-contiguous (rows, width) view of ``out[i % 2]``, not a new array.
+        Biases and rectifiers apply in place. With ``masks``, one (rows,
+        width) bool array per hidden layer, each hidden layer writes where
+        its pre-activation is positive, which is where the rectified
+        activation is: all the reverse pass reads of the forward layers.
         """
-        acts = [] if keep else None
         last = len(self.weights) - 1
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if out is None:
-                h = h @ w.T
-            else:
-                dest = out[i % 2][:len(x) * len(w)].reshape(len(x), len(w))
-                h = np.matmul(h, w.T, out=dest)
+            dest = out[i % 2][:len(x) * len(w)].reshape(len(x), len(w))
+            h = np.matmul(h, w.T, out=dest)
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
-            if keep:
-                acts.append(h)
-        return h[:, 0], acts
+                if masks is not None:
+                    np.greater(h, 0.0, out=masks[i])
+        return h[:, 0]
 
-    def _encode(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(enc, x)``: the encoded coordinates and the network input, the
-        encoding followed by the latent code."""
-        enc = positional_encoding(pts, self.encoding_order)
-        if not self.latent_dim:
-            return enc, enc
-        lat = np.broadcast_to(self.latent, (len(pts), self.latent_dim))
-        return enc, np.concatenate([enc, lat], axis=1)
+    def _query(self, pts, grad, sens):
+        """``UdfField._query``: one forward pass in row blocks of
+        ``VALUE_BLOCK`` points, then, for gradients and sensitivities, one
+        reverse pass over the whole query.
 
-    def _values(self, pts: np.ndarray) -> np.ndarray:
-        """Values alone, in row blocks of ``VALUE_BLOCK`` points, each written
-        into its slice of one ``u``. The last block takes the remainder, so
-        no block is shorter than ``VALUE_BLOCK`` unless the whole query is.
-        Each window of ``TABLE_WINDOW`` rows, whole blocks, gets one feature
-        table. Each block gathers its encoded rows into one preallocated
-        input whose latent columns are written once, and its layers write
-        into two reused buffers, so a query of any size holds one block's
-        activations and allocates nothing per block but the gather.
+        The last block takes the remainder, so no block is shorter than
+        ``VALUE_BLOCK`` unless the whole query is. Each window of
+        ``TABLE_WINDOW`` rows, whole blocks, gets one feature table; each
+        block gathers its encoded rows into an input whose latent columns
+        are written once, and its layers write into two reused buffers, so
+        the forward pass holds one block's activations. A values-only query
+        reuses one block-sized input; a gradient or sensitivity query keeps
+        the whole input, whose sines and cosines the encoding Jacobian
+        reads, and one bool mask per hidden layer.
+
+        A row of a forward product gets the same bits at every block size,
+        so blocks change no output bits. The reverse pass is not blocked:
+        OpenBLAS sends small products, such as those of a 16- or 32-wide
+        network's reverse pass over a block, to another kernel, whose bits
+        differ. It needs no float activations, so running it whole costs
+        only its own deltas.
+
+        Coordinates match on their int64 bit patterns, not their values: ==
+        would merge -0.0 with +0.0 (whose sines differ in sign) and never
+        match a NaN, while bit patterns give every coordinate the bits of
+        its own direct encoding. A table per window rather than per query:
+        scattered points have up to 3 distinct values each, so a
+        whole-query table of a 32,768-point chunk would hold several MB
+        where a window's holds about half a MB, and a lattice window still
+        repeats each value across many rows.
         """
         n, order = len(pts), self.encoding_order
-        u = np.empty(n)
+        back = grad or sens
         edges = [*range(0, max(n // VALUE_BLOCK, 1) * VALUE_BLOCK, VALUE_BLOCK), n]
         rows = edges[-1] - edges[-2]             # the last block is the longest
         cols = encoded_dim(order)
-        x = np.empty((rows, cols + self.latent_dim))
+        x = np.empty((n if back else rows, cols + self.latent_dim))
         x[:, cols:] = self.latent
         width = max(len(w) for w in self.weights)
         out = (np.empty(rows * width), np.empty(rows * width))
+        masks = [np.empty((n, len(w)), dtype=bool) for w in self.weights[:-1]] if back else None
+        raw = np.empty(n)
         per_window = TABLE_WINDOW // VALUE_BLOCK
         for first in range(0, len(edges) - 1, per_window):
             win = edges[first:first + per_window + 1]
             table, inv = _feature_table(pts[win[0]:win[-1]], order)
             for s, e in zip(win[:-1], win[1:]):
-                xb = x[:e - s]
+                xb = x[s:e] if back else x[:e - s]
                 xb[:, :cols].reshape(e - s, 1 + 2 * order, 3)[...] = \
                     table[:, inv[s - win[0]:e - win[0]]].transpose(1, 0, 2)
-                block = u[s:e]
-                np.abs(self._forward(xb, False, out)[0], out=block)
-                if self.d_max is not None:
-                    np.minimum(block, self.d_max, out=block)
-        return u
-
-    def _query(self, pts, grad, sens):
-        """``UdfField._query``. Values alone run in row blocks
-        (``_values``); a row of a forward product gets the same bits at
-        every block size, so the values are those of one whole pass.
-        Gradient and sensitivity queries run as one pass: OpenBLAS sends
-        small products, such as those of a 16- or 32-wide network's reverse
-        pass over a block, to another kernel, whose bits differ.
-
-        Either way each distinct coordinate is encoded once. Coordinates
-        match on their int64 bit patterns, not their values: == would merge
-        -0.0 with +0.0 (whose sines differ in sign) and never match a NaN,
-        while bit patterns give every coordinate the bits of its own direct
-        encoding. A values-only query builds one table per window of
-        ``TABLE_WINDOW`` rows rather than one per query: scattered points
-        have up to 3 distinct values each, so a whole-query table of a
-        32,768-point chunk would hold several MB where a window's holds
-        about half a MB, and a lattice window still repeats each value
-        across many rows.
-        """
-        if not (grad or sens):
-            return self._values(pts), None, None
-
-        enc, x = self._encode(pts)
-        raw, acts = self._forward(x, keep=True)
+                raw[s:e] = self._forward(xb, out, [m[s:e] for m in masks] if back else None)
         u = np.abs(raw)
-        clamped = None
         if self.d_max is not None:
-            clamped = u >= self.d_max
-            u = np.minimum(u, self.d_max)
+            np.minimum(u, self.d_max, out=u)
+        if not back:
+            return u, None, None
 
-        # reverse pass: gradient of u w.r.t. the network input
+        # reverse pass: gradient of u w.r.t. the network input, zero where
+        # the clamp holds u at d_max
         delta = np.sign(raw)[:, None]
-        if clamped is not None:
-            delta = np.where(clamped[:, None], 0.0, delta)
+        if self.d_max is not None:
+            delta = np.where((u >= self.d_max)[:, None], 0.0, delta)
         for i in range(len(self.weights) - 1, 0, -1):
             delta = delta @ self.weights[i]
-            delta *= acts[i - 1] > 0
+            delta *= masks[i - 1]
         grad_in = delta @ self.weights[0]
-        enc_cols = encoded_dim(self.encoding_order)
-        g = s = None
-        if grad:
-            g = _encoding_jacobian_apply(enc, self.encoding_order, grad_in[:, :enc_cols])
-        if sens:
-            s = grad_in[:, enc_cols:].copy()
-        return u, g, s
-
-    def hidden_sign_pattern(self, pts) -> np.ndarray:
-        """Concatenated rectifier on/off pattern plus the output sign.
-
-        Finite differences are only trustworthy where this pattern is
-        constant across the probe points (the network is piecewise linear).
-        """
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        acts = self._forward(self._encode(pts)[1], keep=True)[1]
-        return np.concatenate([a > 0 for a in acts], axis=1)
+        g = _encoding_jacobian_apply(x[:, :cols], order, grad_in[:, :cols]) if grad else None
+        return u, g, grad_in[:, cols:].copy() if sens else None
 
     # -- serialization ---------------------------------------------------------
 

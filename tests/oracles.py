@@ -133,8 +133,8 @@ def scripted_mlp_forward(data: dict, point) -> float:
 
 
 def direct_positional_encoding(pts: np.ndarray, order: int) -> np.ndarray:
-    """``mlp.positional_encoding`` with the sines and cosines evaluated at
-    every coordinate, however often it repeats."""
+    """The Fourier features of ``mlp`` with the sines and cosines evaluated
+    at every coordinate, however often it repeats."""
     feats = [pts]
     for k in range(order):
         w = (2.0 ** k) * np.pi
@@ -191,7 +191,11 @@ def allocating_mlp_query(net, pts: np.ndarray, grad: bool, sens: bool):
 
 
 def allocating_hidden_sign_pattern(net, pts: np.ndarray) -> np.ndarray:
-    """``MlpUdf.hidden_sign_pattern`` from every kept pre-activation."""
+    """Concatenated rectifier on/off pattern plus the output sign, from
+    every kept pre-activation.
+
+    Finite differences are only trustworthy where this pattern is
+    constant across the probe points (the network is piecewise linear)."""
     pre_acts = allocating_mlp_query(net, pts, False, False)[3]
     return np.concatenate([a > 0 for a in pre_acts], axis=1)
 

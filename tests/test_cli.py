@@ -35,6 +35,12 @@ def not_json(tmp_path):
     return path
 
 
+def weights_file(tmp_path):
+    path = tmp_path / "net.json"
+    random_mlp(hidden=(4,), encoding_order=2, seed=0).save(path)
+    return path
+
+
 def patch_obj(tmp_path):
     path = tmp_path / "patch.obj"
     write_obj(primitives.square_patch(side=1.0, z=0.05), path)
@@ -64,10 +70,18 @@ SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
     lambda tmp: ["metrics", "--pred", non_finite_obj(tmp, "nan"), "--gt", patch_obj(tmp)],
     lambda tmp: ["metrics", "--pred", patch_obj(tmp), "--gt", non_finite_obj(tmp, "inf")],
     lambda tmp: ["mesh", "--family", "sphere", "--params", "nan", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", *SPHERE, "--clamp", "0.01", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", "--weights", weights_file(tmp), "--clamp", "0.01", "--res", "9",
+                 "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", "--mesh", patch_obj(tmp), "--params", "0.3,7", "--res", "9",
+                 "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh-inflate", "--mesh", patch_obj(tmp), "--params", "0.3", "--res", "9",
+                 "--out", tmp / "o.obj"],
 ], ids=["missing-weights", "weights-not-json", "eps-negative", "eps-zero",
         "cull-factor-zero", "prune-tol-negative", "prune-tol-zero",
         "gradcheck-eps-zero", "metrics-no-samples", "metrics-nan-vertex",
-        "metrics-inf-vertex", "family-param-nan"])
+        "metrics-inf-vertex", "family-param-nan", "clamp-with-family",
+        "clamp-with-weights", "params-with-mesh", "inflate-params-with-mesh"])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err

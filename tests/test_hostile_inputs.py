@@ -17,6 +17,7 @@ from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchU
                      SphereShellUdf, TranslatedMeshUdf, TriMesh, extract_mesh_detailed,
                      mesh_signed_grid, parametric_field, primitives, random_mlp,
                      sample_grid, write_ply)
+from udfmesh.distance import COORD_LIMIT
 from udfmesh.fields import PARAMETRIC_FAMILIES
 from udfmesh.grid import NonFiniteFieldError
 
@@ -68,6 +69,48 @@ def test_mesh_arrays_refuse_writes():
     assert mesh.vertices[0, 0] != 9.0 and (mesh.faces[0] != faces[0]).any()
     moved = mesh.with_vertices(mesh.vertices + 1.0)
     assert np.shares_memory(moved.faces, mesh.faces)
+
+
+# -- mesh distances ------------------------------------------------------------
+
+@pytest.mark.parametrize("big", [1e200, -1e76, 2 * COORD_LIMIT])
+def test_vertex_whose_squares_overflow_is_named(big):
+    sphere = primitives.uv_sphere()
+    verts = sphere.vertices.copy()
+    verts[17, 1] = big
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=r"^vertex 17 is not finite or exceeds 1e\+75"):
+            MeshUdf(TriMesh(verts, sphere.faces))
+
+
+def test_scaled_mesh_whose_squares_overflow_is_named():
+    sphere = primitives.uv_sphere()
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=r"^vertex 0 is not finite or exceeds"):
+            MeshUdf(TriMesh(sphere.vertices * 1e200, sphere.faces))
+
+
+@pytest.mark.parametrize("big", [1e200, -1e76, 2 * COORD_LIMIT])
+def test_query_point_whose_squares_overflow_is_named(big):
+    field = MeshUdf(primitives.uv_sphere())
+    pts = np.random.default_rng(4).uniform(-1, 1, (5, 3))
+    pts[3, 2] = big
+    with np.errstate(all="raise"):
+        for query in (field.eval, field.eval_grad):
+            with pytest.raises(ValueError, match=r"^query point 3 is not finite or exceeds"):
+                query(pts)
+
+
+def test_coordinates_at_the_limit_stay_finite():
+    # a mesh and queries spanning the whole allowed range: every product of
+    # the closest-point walk stays finite, and the distances are those of
+    # the unit-scale sphere, scaled
+    sphere = primitives.uv_sphere()
+    pts = np.random.default_rng(5).uniform(-1, 1, (200, 3))
+    pts[0] = (1.0, 1.0, -1.0)
+    with np.errstate(all="raise"):
+        u = MeshUdf(TriMesh(sphere.vertices * COORD_LIMIT, sphere.faces)).eval(pts * COORD_LIMIT)
+    np.testing.assert_allclose(u / COORD_LIMIT, MeshUdf(sphere).eval(pts), rtol=1e-12)
 
 
 # -- field families ------------------------------------------------------------

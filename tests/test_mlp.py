@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from udfmesh import GridSpec, MlpUdf, WeightFileError, positional_encoding, random_mlp
+from udfmesh import GridSpec, MlpUdf, WeightFileError, random_mlp
 from udfmesh.grid import CHUNK, sample_grid
-from udfmesh.mlp import TABLE_WINDOW, VALUE_BLOCK, encoded_dim
+from udfmesh.mlp import TABLE_WINDOW, VALUE_BLOCK, _feature_table, encoded_dim
 
 from conftest import wavy_patch_mlp
 from oracles import (allocating_hidden_sign_pattern, allocating_mlp_query,
@@ -69,13 +69,13 @@ class TestGradients:
 
     def smooth_probe_mask(self, field, pts, h):
         """Points whose +-h probes stay on one linear piece of the network."""
-        ref = field.hidden_sign_pattern(pts)
+        ref = allocating_hidden_sign_pattern(field, pts)
         ok = np.ones(len(pts), dtype=bool)
         for axis in range(3):
             for sign in (1, -1):
                 q = pts.copy()
                 q[:, axis] += sign * h
-                ok &= (field.hidden_sign_pattern(q) == ref).all(axis=1)
+                ok &= (allocating_hidden_sign_pattern(field, q) == ref).all(axis=1)
         return ok
 
     def test_grad_x_matches_finite_differences(self, rng):
@@ -111,15 +111,15 @@ class TestGradients:
         h = 1e-4
         fd = np.empty_like(sens)
         stable = np.ones(len(pts), dtype=bool)
-        ref = field.hidden_sign_pattern(pts)
+        ref = allocating_hidden_sign_pattern(field, pts)
         for c in range(6):
             z = field.latent.copy()
             z[c] += h
             up_field = field.with_latent(z)
             z[c] -= 2 * h
             dn_field = field.with_latent(z)
-            stable &= (up_field.hidden_sign_pattern(pts) == ref).all(axis=1)
-            stable &= (dn_field.hidden_sign_pattern(pts) == ref).all(axis=1)
+            stable &= (allocating_hidden_sign_pattern(up_field, pts) == ref).all(axis=1)
+            stable &= (allocating_hidden_sign_pattern(dn_field, pts) == ref).all(axis=1)
             fd[:, c] = (up_field.eval(pts) - dn_field.eval(pts)) / (2 * h)
         assert stable.sum() > 50
         denom = np.maximum(np.abs(fd[stable]), 1e-9)
@@ -173,18 +173,31 @@ def assert_queries_bitwise(field, pts):
     assert_bitwise(ug[1], g)
     if field.param_dim:
         assert_bitwise(field.param_sensitivity(pts), s)
-    assert_bitwise(field.hidden_sign_pattern(pts), allocating_hidden_sign_pattern(field, pts))
 
 
-def traced_eval_peak(field, pts) -> int:
-    """The ``tracemalloc`` peak of one values-only query, after a warm-up."""
-    field.eval(pts[:10])
+def traced_peak(query, pts) -> int:
+    """The ``tracemalloc`` peak of one call ``query(pts)``, after a warm-up."""
+    query(pts[:10])
     tracemalloc.start()
     try:
-        field.eval(pts)
+        query(pts)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def kept_masks(field, pts, monkeypatch) -> np.ndarray:
+    """The rectifier masks the forward pass of ``field.eval_grad(pts)``
+    keeps for the reverse pass, as one (n, hidden units) array."""
+    kept = []
+    forward = MlpUdf._forward
+
+    def spy(self, x, out, masks=None):
+        kept.append(masks)
+        return forward(self, x, out, masks)
+    monkeypatch.setattr(MlpUdf, "_forward", spy)
+    field.eval_grad(pts)
+    return np.concatenate([np.concatenate(block, axis=1) for block in kept])
 
 
 class TestInPlacePass:
@@ -209,12 +222,14 @@ class TestInPlacePass:
             assert (g[clamped] == 0).all()
 
     @pytest.mark.parametrize("name", list(ORACLE_NETS))
-    def test_hidden_sign_pattern_matches_allocating_pass(self, name, rng):
+    def test_hidden_sign_pattern_matches_allocating_pass(self, name, rng, monkeypatch):
+        # the reverse pass reads the forward layers only through these masks;
+        # two blocks (512 and 513 rows), so the masks span a block edge
         field = ORACLE_NETS[name]()
-        pts = rng.uniform(-1, 1, (500, 3))
-        pattern = field.hidden_sign_pattern(pts)
-        assert pattern.shape == (500, sum(field.layer_sizes[1:]))
-        np.testing.assert_array_equal(pattern, allocating_hidden_sign_pattern(field, pts))
+        pts = rng.uniform(-1, 1, (2 * B + 1, 3))
+        masks = kept_masks(field, pts, monkeypatch)
+        assert masks.shape == (2 * B + 1, sum(field.layer_sizes[1:-1]))
+        np.testing.assert_array_equal(masks, allocating_hidden_sign_pattern(field, pts)[:, :-1])
 
     @pytest.mark.parametrize("n", EDGE_SIZES)
     @pytest.mark.parametrize("name", list(ORACLE_NETS))
@@ -225,12 +240,22 @@ class TestInPlacePass:
         # a whole-chunk pass of the 3x128 network keeps two 32 MB activations
         # alive (72 MB traced); row blocks keep under 1.5 MB, and one feature
         # table per 2,048-row window of scattered points adds about 1.3 MB
-        assert traced_eval_peak(wavy_patch_mlp(1), rng.uniform(-1, 1, (CHUNK, 3))) < 4 * 2 ** 20
+        assert traced_peak(wavy_patch_mlp(1).eval, rng.uniform(-1, 1, (CHUNK, 3))) < 4 * 2 ** 20
 
     def test_lattice_values_pass_holds_one_block(self):
         # a chunk of lattice corners has few distinct coordinates, so its
         # feature tables are small; the layer buffers set the peak
-        assert traced_eval_peak(wavy_patch_mlp(1), LATTICE.corner_points()[:CHUNK]) < 4 * 2 ** 20
+        assert traced_peak(wavy_patch_mlp(1).eval, LATTICE.corner_points()[:CHUNK]) < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("query", ["eval_grad", "param_sensitivity"])
+    def test_reverse_pass_keeps_masks_not_activations(self, query, rng):
+        # a reverse pass that kept every float layer of a whole chunk would
+        # trace 179 MB; the blocked forward pass keeps only the input and one
+        # byte per hidden unit and row, so the reverse pass's own deltas set
+        # the peak (88 MB)
+        field = wavy_patch_mlp(1)
+        pts = rng.uniform(-1, 1, (CHUNK, 3))
+        assert traced_peak(getattr(field, query), pts) < 100 * 2 ** 20
 
     def test_nan_bias_propagates_as_before(self, rng):
         field = random_mlp(hidden=(8, 8), encoding_order=2, latent_dim=2,
@@ -242,8 +267,6 @@ class TestInPlacePass:
         assert_bitwise(field.eval(pts), u)
         assert_bitwise(field.grad_x(pts), g)
         assert_bitwise(field.param_sensitivity(pts), s)
-        np.testing.assert_array_equal(field.hidden_sign_pattern(pts),
-                                      allocating_hidden_sign_pattern(field, pts))
 
 
 class TestFeatureTable:
@@ -276,7 +299,9 @@ class TestFeatureTable:
             pts = np.repeat(pts, 2, axis=1)[:, ::2]
         assert pts.flags.c_contiguous == (layout == "contiguous")
         with np.errstate(invalid="ignore"):
-            enc = positional_encoding(pts, order)
+            table, inv = _feature_table(pts, order)
+            # column 3 r + c holds table row r of coordinate c
+            enc = table[:, inv].transpose(1, 0, 2).reshape(len(pts), -1)
             assert enc.shape == (len(pts), encoded_dim(order))
             assert_bitwise(enc, direct_positional_encoding(pts, order))
 
