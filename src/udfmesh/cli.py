@@ -2,8 +2,13 @@
 
 Subcommands: mesh, mesh-inflate, metrics, fit-pc, gradcheck, dump-grid.
 Exit codes: 0 success, 1 check failure, 2 usage or input error. The
-UDF_MESHER_THREADS environment variable caps sampling workers; the
---threads flag of mesh, mesh-inflate and dump-grid wins over it.
+--threads flag of mesh, mesh-inflate and dump-grid sets the sampling
+workers, and wins over the UDF_MESHER_THREADS environment variable, which
+also reaches the extractions of fit-pc and gradcheck. Without either, the
+workers are the usable cores divided by the threads each BLAS call may
+start (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS), and one if neither is
+set. Outputs are byte-identical for any worker count; a count below 1 or
+not an integer exits 2.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from . import diffgeom, io, metrics
 from .extract import extract_mesh_detailed
 from .fields import MeshUdf, UdfField, parametric_field
-from .grid import GridSpec, NonFiniteFieldError, dump_grid, sample_grid
+from .grid import GridSpec, NonFiniteFieldError, dump_grid, resolve_threads, sample_grid
 from .mlp import MlpUdf
 from .postprocess import default_prune_tol, remove_spurious_facets, smooth_borders
 
@@ -60,7 +65,21 @@ def _add_grid_args(p: argparse.ArgumentParser):
 
 def _add_threads_arg(p: argparse.ArgumentParser):
     p.add_argument("--threads", type=int, default=None,
-                   help="sampling workers (env UDF_MESHER_THREADS)")
+                   help="sampling workers, at least 1 (default env "
+                        "UDF_MESHER_THREADS, else the usable cores divided by "
+                        "OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else 1); "
+                        "outputs are byte-identical for any count")
+
+
+def _check_threads(threads):
+    """Refuse a worker count below 1, from ``--threads`` or, without it,
+    from ``UDF_MESHER_THREADS``, before any work."""
+    if threads is not None and threads < 1:
+        raise CliError(f"--threads must be at least 1, got {threads}")
+    try:
+        resolve_threads(threads)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _parse_params(text):
@@ -359,6 +378,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command but metrics samples a lattice
+        if args.command != "metrics":
+            _check_threads(getattr(args, "threads", None))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

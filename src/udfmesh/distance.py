@@ -11,7 +11,9 @@ level, up to one root (the linear build of Karras, HPG 2012). A query
 point first gets an upper bound: its exact distance to the triangle with
 the nearest centroid. (point, box) pairs are then pruned level by level,
 keeping every box no farther than that bound, and every surviving
-(point, triangle) pair is evaluated in one flat closest-point call. Each
+(point, triangle) pair is evaluated in flat closest-point calls of whole
+points, up to ``SETTLE`` pairs each, so a sampling worker's temporaries
+stay small however many pairs a batch keeps. Each
 point keeps the smallest squared distance, and among exact ties the lowest
 face index, which is the rule of a sweep over the faces in order: the
 result is bitwise that of the sweep. A mesh of at most ``FANOUT``
@@ -25,7 +27,10 @@ from scipy.spatial import cKDTree
 
 FANOUT = 4            # children per tree node; a leaf is one triangle
 BATCH = 2048          # points per traversal; bounds the per-point arrays
-PAIRS = 1 << 16       # (point, box) pairs per pruning step; bounds the rest
+PAIRS = 1 << 14       # (point, box) pairs per pruning step, about 100 B each
+SETTLE = 4096         # (point, triangle) pairs per closest-point call, but
+                      # whole points; each pair holds about 360 B of temporaries.
+                      # With PAIRS, this bounds what a sampling worker holds
 SLACK = 1e-9          # relative widening of every pruning radius
 MORTON_BITS = 10      # centroid quantization per axis for the build order
 # largest coordinate magnitude of a vertex or query point: the closest-point
@@ -211,7 +216,16 @@ class MeshDistanceIndex:
                 parent, child = np.nonzero(keep)
                 pid, node = pid[parent], node[parent] * FANOUT + child
                 depth += 1
-            self._settle(p, pid, node, d, cp)
+            # cut at point boundaries; a point with more pairs is one slice
+            s = 0
+            while s < len(pid):
+                e = s + SETTLE
+                if e < len(pid):
+                    e = np.searchsorted(pid, pid[e])
+                    if e <= s:
+                        e = np.searchsorted(pid, pid[s], side="right")
+                self._settle(p, pid[s:e], node[s:e], d, cp)
+                s = e
 
     def _reach2(self, p: np.ndarray) -> np.ndarray:
         """Squared pruning radius of each point: its exact distance to the

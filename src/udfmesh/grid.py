@@ -7,7 +7,9 @@ field with a Lipschitz bound it evaluates only the blocks the bound cannot
 rule out. Gradients are evaluated only at the corners extraction signs,
 by ``_sample_corners`` given their ids. Every query runs in the fixed
 chunks of ``_evaluate``, lattice corners through ``_sample_corners``, so
-results do not depend on the worker count.
+results do not depend on the worker count. The calling thread is one
+worker; ``resolve_threads`` gives the count, by default one per core left
+over by BLAS.
 
 ``sample_band`` also hands on its corner table (``_corner_table``): the
 sorted distinct corner ids of its cells and each cell's (m, 8) index into
@@ -21,8 +23,9 @@ corners of a subset of the cells out of the table with a mask and a rank
 from __future__ import annotations
 
 import json
+import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +34,50 @@ from .fields import UdfField
 from .mc_tables import CORNER_OFFSETS
 
 THREADS_ENV_VAR = "UDF_MESHER_THREADS"
+BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _default_threads() -> int:
+    """The cores this process may use, divided by the threads each BLAS
+    call may start (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``).
+    With neither set, or set to no positive count, BLAS starts one thread
+    per core, and sampling workers on top of it only queue for the same
+    cores, so the default is one worker: on two cores, two workers over
+    two-thread BLAS took a network's ``sample_grid`` from about 0.45 s to
+    0.7 s."""
+    value = next((os.environ[name] for name in BLAS_ENV_VARS
+                  if os.environ.get(name, "").strip()), "0")
+    try:
+        per_call = int(value.split(",")[0])
+    except ValueError:
+        per_call = 0
+    if per_call < 1:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:                   # not offered on every platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // per_call)
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Effective worker count: explicit argument wins over the environment."""
+    """Effective worker count: the argument, else ``UDF_MESHER_THREADS``,
+    else ``_default_threads()``. An argument or a variable that is not an
+    integer of at least 1 raises a ``ValueError`` naming it; nothing is
+    rounded or clipped."""
+    source, value, parse = "threads", threads, operator.index
     if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        threads = int(env) if env else 1
-    return max(1, int(threads))
+        value = os.environ.get(THREADS_ENV_VAR)
+        if not value:
+            return _default_threads()
+        source, parse = THREADS_ENV_VAR, int
+    try:
+        count = parse(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be an integer of at least 1, got {value!r}")
+    return count
 
 
 class NonFiniteFieldError(ValueError):
@@ -123,30 +162,58 @@ def _evaluate(field: UdfField, n_pts: int, points, threads: int | None,
     """Values (and gradients with ``grad``) at ``n_pts`` points, where
     ``points(s, e)`` builds points s..e-1.
 
-    Points are processed in fixed chunks of ``CHUNK``; each worker writes a
-    disjoint slice, so the result is identical for any worker count. A
-    non-finite value raises ``NonFiniteFieldError`` naming the first such
-    point as ``what``.
+    Points are processed in fixed chunks of ``CHUNK``, each written to its
+    own slice, so the result is identical for any worker count. The calling
+    thread and at most ``min(workers, whole chunks) - 1`` helper threads
+    take chunks in order from one shared iterator, so no thread starts
+    without a whole chunk to run, and each worker holds one chunk's query at
+    a time. The
+    first chunk that raises, in chunk order, has its exception re-raised
+    unchanged once every worker has stopped; no chunk is started after a
+    failure. A non-finite value raises ``NonFiniteFieldError`` naming the
+    first such point as ``what``.
     """
-    threads = resolve_threads(threads)
+    workers = resolve_threads(threads)
     u = np.empty(n_pts)
     g = np.empty((n_pts, 3)) if grad else None
-    spans = [(s, min(s + CHUNK, n_pts)) for s in range(0, n_pts, CHUNK)]
+    starts = iter(range(0, n_pts, CHUNK))
+    lock = threading.Lock()
+    failed = {}                              # chunk start -> its exception
 
-    # through the public queries, so a traced run bills them to the field
-    def run(span):
-        s, e = span
-        if grad:
-            u[s:e], g[s:e] = field.eval_grad(points(s, e))
-        else:
-            u[s:e] = field.eval(points(s, e))
+    def work():
+        while True:
+            with lock:
+                s = None if failed else next(starts, None)
+            if s is None:
+                return
+            e = min(s + CHUNK, n_pts)
+            # through the public queries, so a traced run bills them to the field
+            try:
+                if grad:
+                    u[s:e], g[s:e] = field.eval_grad(points(s, e))
+                else:
+                    u[s:e] = field.eval(points(s, e))
+            except BaseException as exc:
+                with lock:
+                    failed[s] = exc
+                return
 
-    if threads == 1 or len(spans) <= 1:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
+    # A last partial chunk starts no helper of its own: a 20-iteration
+    # cylinder fit, whose 40k-corner passes are one chunk and a fifth (about
+    # 2 ms each), ran 4% slower with a helper for the fifth. Every chunk
+    # before a failed one was handed out before it and runs to its end, so
+    # the lowest failed start is the first chunk that fails
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(workers, n_pts // CHUNK) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
 
     bad = np.flatnonzero(~np.isfinite(u))
     if len(bad):

@@ -194,7 +194,7 @@ class MlpUdf(UdfField):
         OpenBLAS sends small products, such as those of a 16- or 32-wide
         network's reverse pass over a block, to another kernel, whose bits
         differ. It needs no float activations, so running it whole costs
-        only its own deltas.
+        only two reused whole-query product buffers.
 
         Coordinates match on their int64 bit patterns, not their values: ==
         would merge -0.0 with +0.0 (whose sines differ in sign) and never
@@ -232,14 +232,23 @@ class MlpUdf(UdfField):
             return u, None, None
 
         # reverse pass: gradient of u w.r.t. the network input, zero where
-        # the clamp holds u at d_max
+        # the clamp holds u at d_max. As in the forward pass, products go
+        # into C-contiguous views of two reused flat buffers; each mask is
+        # dropped once applied, and the second buffer is made after the first
+        # drop
         delta = np.sign(raw)[:, None]
         if self.d_max is not None:
             delta = np.where((u >= self.d_max)[:, None], 0.0, delta)
-        for i in range(len(self.weights) - 1, 0, -1):
-            delta = delta @ self.weights[i]
-            delta *= masks[i - 1]
-        grad_in = delta @ self.weights[0]
+        width = max(w.shape[1] for w in self.weights)
+        bufs = []
+        for step, w in enumerate(reversed(self.weights)):
+            if step < 2:
+                bufs.append(np.empty(n * width))
+            dest = bufs[step % 2][:n * w.shape[1]].reshape(n, w.shape[1])
+            delta = np.matmul(delta, w, out=dest)
+            if masks:
+                delta *= masks.pop()
+        grad_in = delta
         g = _encoding_jacobian_apply(x[:, :cols], order, grad_in[:, :cols]) if grad else None
         return u, g, grad_in[:, cols:].copy() if sens else None
 

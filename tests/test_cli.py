@@ -77,11 +77,14 @@ SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
                  "--out", tmp / "o.obj"],
     lambda tmp: ["mesh-inflate", "--mesh", patch_obj(tmp), "--params", "0.3", "--res", "9",
                  "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", *SPHERE, "--threads", "0", "--out", tmp / "o.obj"],
+    lambda tmp: ["dump-grid", *SPHERE, "--threads", "-4", "--out", tmp / "g"],
 ], ids=["missing-weights", "weights-not-json", "eps-negative", "eps-zero",
         "cull-factor-zero", "prune-tol-negative", "prune-tol-zero",
         "gradcheck-eps-zero", "metrics-no-samples", "metrics-nan-vertex",
         "metrics-inf-vertex", "family-param-nan", "clamp-with-family",
-        "clamp-with-weights", "params-with-mesh", "inflate-params-with-mesh"])
+        "clamp-with-weights", "params-with-mesh", "inflate-params-with-mesh",
+        "threads-zero", "threads-negative"])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err

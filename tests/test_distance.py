@@ -95,7 +95,9 @@ def test_exact_ties_go_to_the_lowest_face():
 
 def test_batch_split_invariance(monkeypatch, rng):
     # near-axis points make every face of the tube survive, so small
-    # BATCH and PAIRS force many batches and pair-list splits
+    # BATCH and PAIRS force many batches and pair-list splits; a SETTLE
+    # below a point's 720 pairs makes every such point a slice of its own,
+    # and one above it cuts slices between points
     mesh = MESHES["cylinder"]
     pts = probe_points(mesh, rng)
     index = MeshDistanceIndex(mesh.vertices, mesh.faces)
@@ -106,6 +108,9 @@ def test_batch_split_invariance(monkeypatch, rng):
     monkeypatch.setattr(distance, "BATCH", 97)
     monkeypatch.setattr(distance, "PAIRS", 600)
     assert_bitwise(index.query(pts), whole)
+    for settle in (1, 1000, 10 ** 9):
+        monkeypatch.setattr(distance, "SETTLE", settle)
+        assert_bitwise(index.query(pts), whole)
 
 
 def test_region_first_kernel_matches_settle_all_regions(rng):

@@ -1,4 +1,8 @@
+import os
 import re
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -8,8 +12,12 @@ from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf,
                      TriMesh, dump_grid, extract_mesh_detailed, inflate_mesh,
                      load_grid_dump, mesh_signed_grid, primitives, random_mlp,
                      sample_grid)
-from udfmesh.grid import (CHUNK, NonFiniteFieldError, _cull, _lattice_band,
-                          _sample_corners, sample_band)
+from udfmesh import grid
+from udfmesh.distance import COORD_LIMIT
+from udfmesh.fields import UdfField
+from udfmesh.grid import (BLAS_ENV_VARS, CHUNK, THREADS_ENV_VAR, NonFiniteFieldError, _cull,
+                          _evaluate, _lattice_band, _sample_corners, resolve_threads,
+                          sample_band)
 from udfmesh.mlp import VALUE_BLOCK
 from udfmesh.mc_tables import CORNER_OFFSETS
 
@@ -119,12 +127,29 @@ class TestSampleGrid:
                                       lattice_gradients(field, spec, threads=4))
 
     def test_thread_env_var_respected_argument_wins(self, monkeypatch):
-        from udfmesh.grid import THREADS_ENV_VAR, resolve_threads
         monkeypatch.setenv(THREADS_ENV_VAR, "3")
         assert resolve_threads(None) == 3
         assert resolve_threads(7) == 7
         monkeypatch.delenv(THREADS_ENV_VAR)
+        cores = len(os.sched_getaffinity(0))
+        # BLAS unset: it already starts one thread per core
+        for name in BLAS_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
         assert resolve_threads(None) == 1
+        # one BLAS thread per call leaves every core to a sampling worker
+        for name in BLAS_ENV_VARS:
+            monkeypatch.setenv(name, "1")
+            assert resolve_threads(None) == cores
+            monkeypatch.setenv(name, str(cores))
+            assert resolve_threads(None) == 1
+            monkeypatch.delenv(name)
+        # OPENBLAS_NUM_THREADS is read before OMP_NUM_THREADS
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cores))
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert resolve_threads(None) == 1
+        monkeypatch.setenv(THREADS_ENV_VAR, "3")
+        assert resolve_threads(None) == 3
+        assert resolve_threads(10 ** 6) == 10 ** 6
 
     def test_mesh_udf_open_cylinder_properties(self):
         # garment-like open tube sampled densely: distances stay
@@ -188,6 +213,152 @@ class TestSampleGrid:
             with pytest.raises(NonFiniteFieldError, match=re.escape(
                     f"non-finite value at corner (-1, -1, {z[k]:.6g})")):
                 sampler(field, spec)
+
+
+class Recording(UdfField):
+    """x + 2y + 3z, recording the first point of each query; NaN at the
+    points listed in ``nan_at``."""
+
+    def __init__(self, nan_at=()):
+        self.calls = []
+        self.nan_at = np.array(nan_at, dtype=float).reshape(-1, 3)
+
+    def _query(self, pts, grad, sens):
+        self.calls.append(tuple(pts[0]))
+        u = pts @ np.array([1.0, 2.0, 3.0])
+        u[(pts[:, None, :] == self.nan_at).all(axis=2).any(axis=1)] = np.nan
+        return u, np.tile([1.0, 2.0, 3.0], (len(pts), 1)) if grad else None, None
+
+
+def counting_threads(monkeypatch, limit=8):
+    """The threads ``_evaluate`` starts, through a stand-in ``threading``
+    module that refuses to start more than ``limit``."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            assert len(started) < limit, f"more than {limit} helper threads"
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(grid, "threading",
+                        types.SimpleNamespace(Thread=Counted, Lock=threading.Lock))
+    return started
+
+
+class TestWorkerLoop:
+    """The calling thread and its helpers evaluate every chunk once, start
+    no thread without a whole chunk, and hand a chunk's exception on
+    unchanged."""
+
+    SPEC = GridSpec(41)                     # 68,921 corners: 3 chunks
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_every_chunk_runs_once(self, threads, monkeypatch):
+        started = counting_threads(monkeypatch)
+        field, spec = Recording(), self.SPEC
+        n = spec.resolution
+        assert n ** 3 // CHUNK == 2
+        u = sample_grid(field, spec, threads=threads)
+        corners = spec.corner_points()
+        firsts = [tuple(corners[s]) for s in range(0, n ** 3, CHUNK)]
+        assert len(firsts) == 3
+        assert sorted(field.calls) == sorted(firsts)
+        # two whole chunks and a partial one: at most one helper
+        assert len(started) == min(threads, 2) - 1
+        assert_bitwise(u, sample_grid(Recording(), spec, threads=1))
+
+    def test_many_chunks_many_workers_stress(self, monkeypatch):
+        # 8-point chunks and more workers than cores, switching threads
+        # every microsecond: a chunk handed out twice or never would show
+        monkeypatch.setattr(grid, "CHUNK", 8)
+        pts = np.random.default_rng(2).uniform(-1, 1, (8 * 300 + 3, 3))
+        field = Recording()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            u, g = _evaluate(field, len(pts), lambda s, e: pts[s:e], 8, True, "point")
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(field.calls) == sorted(map(tuple, pts[::8]))
+        assert_bitwise(u, pts @ np.array([1.0, 2.0, 3.0]))
+        assert (g == [1.0, 2.0, 3.0]).all()
+
+    @pytest.mark.parametrize("n_pts, helpers", [(CHUNK + 5, 0), (2 * CHUNK, 1),
+                                                 (2 * CHUNK + 5, 1)])
+    def test_huge_worker_count_starts_a_helper_per_whole_chunk(self, n_pts, helpers,
+                                                               monkeypatch):
+        started = counting_threads(monkeypatch, limit=1)
+        pts = np.random.default_rng(0).uniform(-1, 1, (n_pts, 3))
+        field = Recording()
+        u, _ = _evaluate(field, len(pts), lambda s, e: pts[s:e], 10 ** 6, False, "point")
+        assert len(started) == helpers
+        assert len(field.calls) == -(-n_pts // CHUNK)
+        assert_bitwise(u, pts @ np.array([1.0, 2.0, 3.0]))
+
+    def test_helper_exception_reaches_caller_unchanged(self, monkeypatch):
+        counting_threads(monkeypatch)
+        boom = RuntimeError("raised in a helper")
+        helper_ran = threading.Event()
+        main = threading.get_ident()
+
+        class FailsOffMainThread(Recording):
+            def _query(self, pts, grad, sens):
+                if threading.get_ident() == main:
+                    # the caller holds its chunk until the helper has run one
+                    assert helper_ran.wait(10)
+                    return super()._query(pts, grad, sens)
+                helper_ran.set()
+                raise boom
+
+        pts = np.zeros((2 * CHUNK, 3))
+        with pytest.raises(RuntimeError) as info:
+            _evaluate(FailsOffMainThread(), len(pts), lambda s, e: pts[s:e], 2,
+                      False, "point")
+        assert info.value is boom
+
+    def test_first_chunk_in_order_wins_over_first_to_fail(self, monkeypatch):
+        # chunk 3 fails first, while chunk 2, handed out before it, still runs
+        counting_threads(monkeypatch)
+        errors = {1: RuntimeError("chunk 2"), 2: RuntimeError("chunk 3")}
+        later_failed = threading.Event()
+
+        class FailsOutOfOrder(Recording):
+            def _query(self, pts, grad, sens):
+                chunk = int(pts[0, 0])
+                if chunk == 2:
+                    later_failed.set()
+                    raise errors[2]
+                if chunk == 1:
+                    assert later_failed.wait(10)
+                    raise errors[1]
+                return super()._query(pts, grad, sens)
+
+        pts = np.zeros((3 * CHUNK, 3))
+        pts[:, 0] = np.repeat([0.0, 1.0, 2.0], CHUNK)      # x is the chunk
+        with pytest.raises(RuntimeError) as info:
+            _evaluate(FailsOutOfOrder(), len(pts), lambda s, e: pts[s:e], 3, False, "point")
+        assert info.value is errors[1]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_first_failing_chunk_is_raised(self, threads):
+        # points beyond COORD_LIMIT in chunks 2 and 3 (at their rows 5 and 7):
+        # chunk 2's refusal is raised at every worker count
+        field = MeshUdf(primitives.square_patch(side=1.0, z=0.0))
+        pts = np.random.default_rng(1).uniform(-1, 1, (2 * CHUNK + 100, 3))
+        pts[CHUNK + 5, 1] = 2 * COORD_LIMIT
+        pts[2 * CHUNK + 7, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^query point 5 is not finite or exceeds"):
+            _evaluate(field, len(pts), lambda s, e: pts[s:e], threads, True, "point")
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_first_non_finite_corner_is_named(self, threads):
+        # NaN in chunks 3 and 2; the one in chunk 2 comes first in x-fastest order
+        spec = self.SPEC
+        corners = spec.corner_points()
+        first, second = corners[CHUNK + 17], corners[2 * CHUNK + 3]
+        with pytest.raises(NonFiniteFieldError, match=re.escape(
+                "non-finite value at corner ({:.6g}, {:.6g}, {:.6g})".format(*first))):
+            sample_grid(Recording([second, first]), spec, threads=threads)
 
 
 def garment_like_mesh():

@@ -8,6 +8,7 @@ Inputs come from seeded numpy generators.
 """
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -19,7 +20,7 @@ from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchU
                      sample_grid, write_ply)
 from udfmesh.distance import COORD_LIMIT
 from udfmesh.fields import PARAMETRIC_FAMILIES
-from udfmesh.grid import NonFiniteFieldError
+from udfmesh.grid import THREADS_ENV_VAR, NonFiniteFieldError, resolve_threads
 
 from test_cli import patch_obj, run
 
@@ -206,6 +207,48 @@ def test_signed_lattice_non_finite_corner_is_named(bad):
 def test_signed_lattice_shape(shape):
     with pytest.raises(ValueError, match=r"^values of shape .* do not fit a 17\^3 lattice"):
         mesh_signed_grid(np.zeros(shape), SPEC17)
+
+
+# -- worker counts -------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", [0, -4, 2.5, "2", np.float64(3.0)])
+def test_thread_count_argument_is_refused(threads, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    with pytest.raises(ValueError, match=r"^threads must be an integer of at least 1, "
+                       r"got " + re.escape(repr(threads))):
+        resolve_threads(threads)
+    with pytest.raises(ValueError, match=r"^threads must be an integer"):
+        sample_grid(SphereShellUdf(0.5), SPEC17, threads=threads)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", " "])
+def test_thread_count_variable_is_refused(value, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV_VAR, value)
+    with pytest.raises(ValueError, match=rf"^{THREADS_ENV_VAR} must be an integer of at "
+                       r"least 1, got " + re.escape(repr(value))):
+        resolve_threads()
+    # an argument wins over the variable, so the variable is not read
+    assert resolve_threads(np.int64(2)) == 2
+
+
+def test_huge_thread_count_is_kept():
+    # only resolved here: sampling with it starts one helper per whole chunk
+    # beyond the first, and no more (tests/test_grid.py::TestWorkerLoop)
+    assert resolve_threads(10 ** 6) == 10 ** 6
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+@pytest.mark.parametrize("command", [
+    lambda tmp: ["mesh", "--family", "sphere", "--params", "0.5", "--res", "9",
+                 "--out", tmp / "o.obj"],
+    lambda tmp: ["gradcheck", "--family", "sphere", "--params", "0.5", "--res", "9"],
+], ids=["mesh", "gradcheck"])
+def test_cli_refuses_thread_variable(command, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV_VAR, value)
+    assert run(*command(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {THREADS_ENV_VAR} must be an integer of at least 1, "
+                                f"got {value!r}"]
 
 
 # -- command line --------------------------------------------------------------

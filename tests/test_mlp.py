@@ -257,6 +257,16 @@ class TestInPlacePass:
         pts = rng.uniform(-1, 1, (CHUNK, 3))
         assert traced_peak(getattr(field, query), pts) < 100 * 2 ** 20
 
+    @pytest.mark.parametrize("query", ["eval_grad", "param_sensitivity"])
+    def test_reverse_pass_reuses_two_buffers(self, query, rng):
+        # two reused (n, 128) product buffers, each mask dropped once applied
+        # and the second buffer made after the first mask is dropped: 84.4 MiB
+        # traced, against 88.3 MiB for a new product array per layer. The
+        # bound adds 2.6 MiB, about 10 float (n,) arrays of a chunk
+        field = wavy_patch_mlp(1)
+        pts = rng.uniform(-1, 1, (CHUNK, 3))
+        assert traced_peak(getattr(field, query), pts) < 87 * 2 ** 20
+
     def test_nan_bias_propagates_as_before(self, rng):
         field = random_mlp(hidden=(8, 8), encoding_order=2, latent_dim=2,
                            d_max=0.4, seed=3)
