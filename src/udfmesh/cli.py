@@ -9,6 +9,11 @@ workers are the usable cores divided by the threads each BLAS call may
 start (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS), and one if neither is
 set. Outputs are byte-identical for any worker count; a count below 1 or
 not an integer exits 2.
+
+Every numeric flag is checked against its rule (``_FLAG_RULES``: counts
+at least 1, --smooth-weight in [0, 1], scales finite, ...) before any work,
+and one out of range exits 2 with one line naming it, as does a metrics
+input with no surface area to sample.
 """
 
 from __future__ import annotations
@@ -72,14 +77,38 @@ def _add_threads_arg(p: argparse.ArgumentParser):
 
 
 def _check_threads(threads):
-    """Refuse a worker count below 1, from ``--threads`` or, without it,
-    from ``UDF_MESHER_THREADS``, before any work."""
-    if threads is not None and threads < 1:
-        raise CliError(f"--threads must be at least 1, got {threads}")
+    """Refuse the worker count that ``resolve_threads`` refuses, from
+    ``--threads`` or, without it, from ``UDF_MESHER_THREADS``."""
     try:
         resolve_threads(threads)
     except ValueError as exc:
         raise CliError(str(exc))
+
+
+_COUNT = (lambda v: v >= 1, "at least 1")
+_INDEX = (lambda v: v >= 0, "at least 0")
+_POSITIVE = (lambda v: 0 < v < np.inf, "positive and finite")
+_NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "non-negative and finite")
+
+# the rule of every numeric flag, by its destination; --res, --clamp and
+# --threads are checked where they are read
+_FLAG_RULES = {
+    "samples": _COUNT, "iters": _COUNT, "surface_samples": _COUNT, "directions": _COUNT,
+    "seed": _INDEX, "smooth_steps": _INDEX,
+    "cull_factor": _POSITIVE, "prune_tol": _POSITIVE, "eps": _POSITIVE,
+    "eps_factor": _POSITIVE, "lr": _POSITIVE, "alpha": _POSITIVE,
+    "grad_norm_min": _NON_NEGATIVE, "reg": _NON_NEGATIVE,
+    "smooth_weight": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
+def _check_flags(args):
+    """Refuse a numeric flag value that breaks its rule, naming the flag."""
+    for dest, (ok, rule) in _FLAG_RULES.items():
+        value = getattr(args, dest, None)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and not ok(v):
+                raise CliError(f"--{dest.replace('_', '-')} must be {rule}, got {v:g}")
 
 
 def _parse_params(text):
@@ -125,12 +154,6 @@ def _build_field(args) -> UdfField:
         raise CliError(str(exc))
 
 
-def _positive(value, flag):
-    if not value > 0:
-        raise CliError(f"{flag} must be positive, got {value:g}")
-    return value
-
-
 def _build_spec(args) -> GridSpec:
     try:
         lo, hi = (float(x) for x in args.bounds.split(","))
@@ -145,11 +168,9 @@ def _build_spec(args) -> GridSpec:
 def cmd_mesh(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
-    cull_factor = _positive(args.cull_factor, "--cull-factor")
-    prune_tol = (default_prune_tol(spec) if args.prune_tol is None
-                 else _positive(args.prune_tol, "--prune-tol"))
+    prune_tol = default_prune_tol(spec) if args.prune_tol is None else args.prune_tol
     t0 = time.perf_counter()
-    mesh, stats = extract_mesh_detailed(field, spec, cull_factor,
+    mesh, stats = extract_mesh_detailed(field, spec, args.cull_factor,
                                         args.grad_norm_min, threads=args.threads)
     if not args.no_prune and not mesh.is_empty():
         mesh = remove_spurious_facets(mesh, field, prune_tol)
@@ -175,8 +196,7 @@ def cmd_mesh(args) -> int:
 def cmd_mesh_inflate(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
-    eps = (_positive(args.eps, "--eps") if args.eps is not None
-           else _positive(args.eps_factor, "--eps-factor") * float(spec.step.max()))
+    eps = args.eps if args.eps is not None else args.eps_factor * float(spec.step.max())
     t0 = time.perf_counter()
     mesh = metrics.inflate_mesh(field, spec, eps, threads=args.threads)
     total = time.perf_counter() - t0
@@ -196,7 +216,9 @@ def cmd_metrics(args) -> int:
         gt = io.read_mesh(args.gt)
     except (io.MeshFormatError, OSError) as exc:
         raise CliError(str(exc))
-    _positive(args.samples, "--samples")
+    for path, mesh in ((args.pred, pred), (args.gt, gt)):
+        if not mesh.face_areas().sum() > 0:
+            raise CliError(f"{path} has no surface area to sample")
     report = metrics.evaluate_pair(pred, gt, args.samples, args.seed)
     if args.dump_normal_maps:
         _dump_normal_maps(pred, gt, args.dump_normal_maps)
@@ -249,8 +271,6 @@ def cmd_fit_pc(args) -> int:
 def cmd_gradcheck(args) -> int:
     field = _build_field(args)
     spec = _build_spec(args)
-    for eps in args.eps:
-        _positive(eps, "--eps")
     if field.param_dim == 0:
         print("field has no parameters; nothing to check")
         return EXIT_OK
@@ -378,6 +398,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         # every command but metrics samples a lattice
         if args.command != "metrics":
             _check_threads(getattr(args, "threads", None))

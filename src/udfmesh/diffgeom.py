@@ -26,7 +26,7 @@ import numpy as np
 
 from .extract import extract_mesh
 from .fields import UdfField
-from .grid import GridSpec
+from .grid import GridSpec, _require
 from .mesh import TriMesh
 from .metrics import nearest_neighbor_sq, sample_surface
 from .postprocess import default_prune_tol, remove_spurious_facets, smooth_borders
@@ -151,6 +151,7 @@ def assemble_jacobian(mesh: TriMesh, field: UdfField,
                       use_border_formula: bool = True) -> VertexJacobian:
     """One derivative row per vertex; border vertices use the outward rule
     unless ``use_border_formula`` is off (the ablation switch)."""
+    _require(0 < alpha < np.inf, "alpha", "positive and finite", alpha)
     normals = vertex_normals(mesh)
     is_border = mesh.border_vertex_mask()
     directions = normals.copy()
@@ -209,8 +210,16 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
     through the barycentric weights and the vertex derivative rows. An
     empty extraction stops the fit with one ``(iter, "empty mesh, fit
     stopped")`` event: with no surface there is no step, so every later
-    iteration would see the same empty mesh.
+    iteration would see the same empty mesh. ``iters`` and ``n_surface``
+    must be at least 1, ``seed`` at least 0, ``lr`` and ``alpha`` positive
+    and ``lambda_reg`` non-negative, all finite.
     """
+    _require(iters >= 1, "iters", "at least 1", iters)
+    _require(n_surface >= 1, "n_surface", "at least 1", n_surface)
+    _require(seed >= 0, "seed", "at least 0", seed)
+    _require(0 < lr < np.inf, "lr", "positive and finite", lr)
+    _require(0 < alpha < np.inf, "alpha", "positive and finite", alpha)
+    _require(0 <= lambda_reg < np.inf, "lambda_reg", "non-negative and finite", lambda_reg)
     target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
     if len(target) == 0:
         raise ValueError("target point cloud is empty")
@@ -315,7 +324,10 @@ def directional_gradcheck(field: UdfField, spec: GridSpec, delta: np.ndarray,
     Border vertices are excluded: their positions are grid-quantized along
     the border tangent, so re-extraction cannot observe the modeled
     tangential rate (the fitting tests exercise that term end to end).
+    ``eps`` and ``alpha`` must be positive and finite.
     """
+    _require(0 < eps < np.inf, "eps", "positive and finite", eps)
+    _require(0 < alpha < np.inf, "alpha", "positive and finite", alpha)
     delta = np.asarray(delta, dtype=np.float64).reshape(-1)
     if field.param_dim == 0:
         return GradcheckReport(True, 0.0, None, 0, 0)

@@ -23,7 +23,6 @@ triangles has no box to prune and evaluates every pair.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 FANOUT = 4            # children per tree node; a leaf is one triangle
 BATCH = 2048          # points per traversal; bounds the per-point arrays
@@ -176,8 +175,12 @@ class MeshDistanceIndex:
                                          for c in (lo, hi)))
             lo = np.minimum.reduceat(lo, starts, axis=0)
             hi = np.maximum.reduceat(hi, starts, axis=0)
-        # a single-leaf mesh (at most FANOUT triangles) needs no bound
-        self._tree = cKDTree(centroids[self._face]) if len(self._levels) > 1 else None
+        # a single-leaf mesh (at most FANOUT triangles) needs no bound, and
+        # only a tree pays for importing scipy
+        self._tree = None
+        if len(self._levels) > 1:
+            from scipy.spatial import cKDTree
+            self._tree = cKDTree(centroids[self._face])
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distances and closest surface points for (n, 3) queries.

@@ -20,10 +20,10 @@ lattice, ``grid._lattice_band`` and ``grid._corner_table``. Only candidate
 cells are signed. Their corners are picked out of the corner table with a
 mask and a rank, and the field's gradients are evaluated there in one call.
 
-For sorted cells every column of the (m, 12) lattice edge ids is sorted as
-well, so one stable sort of those 12 runs groups the entries of each
-lattice edge. That grouping welds the cut edges into vertices and counts
-the edges cut in one cell but not in another.
+The corner table is the only lattice index. The weld names a lattice edge
+by its axis and the rank of its low corner in the table, and counting
+those keys welds the cut edges into vertices and counts the edges cut in
+one cell but not in another.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (GridSpec, NonFiniteFieldError, _corner_subtable, _corner_table,
-                   _cull, _group_runs, _lattice_band, _min_corner_ids, _sample_corners,
+from .grid import (GridSpec, NonFiniteFieldError, _corner_points, _corner_subtable,
+                   _corner_table, _cull, _lattice_band, _require, _sample_corners,
                    sample_band)
-from .mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE,
-                        EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
+from .mc_tables import EDGE_AXIS, EDGE_CORNERS_LOW_HIGH, TRI_TABLE
 from .mesh import TriMesh, empty_mesh
 
 DEFAULT_GRAD_NORM_MIN = 0.3
@@ -58,11 +57,6 @@ _CASE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.int64)
 # TRI_TABLE as one array, each row padded with -1 to the longest case
 _TRI_ROWS = np.array([tri + [-1] * (15 - len(tri)) for tri in TRI_TABLE],
                      dtype=np.int64)
-
-# the 12 edge columns by axis, and within an axis by falling low-corner
-# offset: the cells that share a lattice edge then hold it lowest cell first
-_EDGE_RUNS = np.lexsort((-(EDGE_BASE @ (1, 2, 4)), EDGE_AXIS))
-_RUN_OF_EDGE = np.argsort(_EDGE_RUNS)
 
 
 @dataclass
@@ -120,53 +114,52 @@ def _pseudo_sign(u8: np.ndarray, g8: np.ndarray, grad_norm_min: float,
     return np.where(dots < 0, -u8, u8), anchor, has_anchor
 
 
-def _mesh_cells(spec: GridSpec, cells: np.ndarray, s: np.ndarray):
-    """Case-table triangulation and weld of m cells with signed corner values.
+def _mesh_cells(spec: GridSpec, s: np.ndarray, ids: np.ndarray, index: np.ndarray):
+    """Case-table triangulation and weld of m sorted cells with signed corner
+    values ``s`` (m, 8) and rows ``index`` (m, 8) of a corner table ``ids``,
+    which may hold more corners than the cells use.
 
-    Cells must come sorted by linear index; faces then come out cell by
-    cell in table order. Every cut lattice edge becomes one vertex, ordered
-    by global edge id and computed by the lowest cell that cuts it.
-    Interpolating each edge from its low corner to its high one makes the
-    position independent of which incident cell computes it. Returns (mesh,
-    vertex_ids, disagreements): the mesh, the sorted global edge id of every
-    vertex, and the number of those edges that some other of these cells
-    leaves uncut.
+    A lattice edge's key, its axis and the rank of its low corner in ``ids``,
+    sorts as its global edge id does. Every cut lattice edge becomes one
+    vertex, ordered by key and computed by the lowest cell that cuts it;
+    interpolating from the low corner to the high one makes the position
+    independent of that cell. Faces come out cell by cell in table order.
+    Returns (mesh, vertex_ids, disagreements): the mesh, the sorted global
+    edge id of every vertex, and the number of those edges that some other
+    of these cells leaves uncut.
     """
-    n, m = spec.resolution, len(cells)
-    lo, hi = EDGE_CORNERS_LOW_HIGH[_EDGE_RUNS].T
+    n, edges = spec.resolution, 3 * len(ids)
+    lo, hi = EDGE_CORNERS_LOW_HIGH.T
     neg = s < 0
-    cut = (neg[:, lo] != neg[:, hi]).T          # (12, m), one run per row
+    cut = neg[:, lo] != neg[:, hi]               # (m, 12)
     if not cut.any():
         return empty_mesh(), np.zeros(0, dtype=np.int64), 0
 
-    offsets = EDGE_AXIS * n ** 3 + EDGE_BASE @ (1, n, n * n)
-    order, ids, first, edge = _group_runs(
-        (offsets[_EDGE_RUNS, None] + _min_corner_ids(spec, cells)).ravel())
+    key = EDGE_AXIS * len(ids) + index[:, lo]
+    pos = np.flatnonzero(cut)                    # cell by cell
+    cut_key = key.ravel()[pos]
     # per lattice edge: the cells that cut it, of all the cells that hold it
-    on = cut.ravel()[order]
-    cuts = np.bincount(edge[on], minlength=len(first))
+    cuts = np.bincount(cut_key, minlength=edges)
     some = cuts > 0
-    disagreements = int((some & (cuts < np.diff(first, append=len(on)))).sum())
+    disagreements = int((some & (cuts < np.bincount(key.ravel(), minlength=edges))).sum())
+    number = np.cumsum(some) - 1
 
-    # the cut entries in edge order; the first of each edge makes its vertex
-    pos = np.flatnonzero(on)
-    rep = pos[np.searchsorted(pos, first[some])]
-    vertex_ids = ids[rep]
-    run, c = np.divmod(order[rep], m)
-    ca, cb = lo[run], hi[run]
-    ijk = spec.cell_origin_ijk(cells[c])
-    axes = np.stack([spec.axis_coords(a) for a in range(3)])
-    pa = axes[np.arange(3), ijk + CORNER_OFFSETS[ca]]
-    pb = axes[np.arange(3), ijk + CORNER_OFFSETS[cb]]
-    t = s[c, ca] / (s[c, ca] - s[c, cb])
-    vertices = pa + t[:, None] * (pb - pa)
-
-    vertex_of = np.empty(12 * m, dtype=np.int64)    # (run, cell), read where cut
-    vertex_of[order[pos]] = (np.cumsum(some) - 1)[edge[pos]]
     tri = _TRI_ROWS[neg @ _CASE_BITS]
     has_tri = tri >= 0
     face_cell = np.broadcast_to(np.arange(len(tri))[:, None], tri.shape)[has_tri]
-    faces = vertex_of.reshape(12, m)[_RUN_OF_EDGE[tri[has_tri]], face_cell].reshape(-1, 3)
+    faces = number[key[face_cell, tri[has_tri]]].reshape(-1, 3)
+
+    # the least position of an edge's cut entries lies in the lowest cell
+    # that cuts it
+    first = np.full(edges, cut.size)
+    np.minimum.at(first, cut_key, pos)
+    c, e = np.divmod(first[some], 12)
+    ca, cb = lo[e], hi[e]
+    low = ids[index[c, ca]]
+    vertex_ids = EDGE_AXIS[e] * n ** 3 + low
+    pa, pb = _corner_points(spec, low), _corner_points(spec, ids[index[c, cb]])
+    t = s[c, ca] / (s[c, ca] - s[c, cb])
+    vertices = pa + t[:, None] * (pb - pa)
     return TriMesh(vertices, faces), vertex_ids, disagreements
 
 
@@ -208,8 +201,12 @@ def extract_mesh_detailed(field, spec: GridSpec,
     An edge cut in one sign-assigned cell but uncut in another is counted in
     ``edge_disagreements``. Neighboring cells can disagree near borders when
     their anchors induce different sign partitions; those edges are
-    reported, not repaired.
+    reported, not repaired. A ``cull_factor`` that is not positive or a
+    ``grad_norm_min`` that is negative, or either not finite, is refused.
     """
+    _require(0 < cull_factor < np.inf, "cull_factor", "positive and finite", cull_factor)
+    _require(0 <= grad_norm_min < np.inf, "grad_norm_min", "non-negative and finite",
+             grad_norm_min)
     stats = ExtractStats(total_cells=spec.n_cells, total_corners=spec.resolution ** 3)
     upper = cull_factor * spec.cell_diagonal
     t0 = time.perf_counter()
@@ -226,9 +223,9 @@ def extract_mesh_detailed(field, spec: GridSpec,
 
     t0 = time.perf_counter()
     keep = _cull(u8, spec, cull_factor)
-    cand, u8 = cells[keep], u8[keep]
-    stats.candidate_cells = len(cand)
-    stats.culled_cells = stats.total_cells - len(cand)
+    u8 = u8[keep]
+    stats.candidate_cells = len(u8)
+    stats.culled_cells = stats.total_cells - len(u8)
     t1 = time.perf_counter()
     ids, index = _corner_subtable(table, keep)
     del table                     # not read again: free it before the weld
@@ -241,7 +238,7 @@ def extract_mesh_detailed(field, spec: GridSpec,
     stats.skipped_no_crossing = int((~crossing).sum())
     stats.triangulated_cells = int(crossing.sum())
 
-    mesh, _, stats.edge_disagreements = _mesh_cells(spec, cand[has_anchor], s)
+    mesh, _, stats.edge_disagreements = _mesh_cells(spec, s, ids, index[has_anchor])
     stats.timings["extract"] = time.perf_counter() - t0 - stats.timings["gradients"]
     return mesh, stats
 
@@ -260,12 +257,15 @@ def mesh_signed_grid(values: np.ndarray, spec: GridSpec) -> TriMesh:
     """Standard signed marching cubes over corner values (negative inside),
     checked as ``extract_mesh_detailed`` checks its ``samples``."""
     _check_lattice(values, spec, "values")
-    return _mesh_signed_cells(spec, *_lattice_band(values, 0.0, 0.0))
+    cells, s = _lattice_band(values, 0.0, 0.0)
+    return _mesh_signed_cells(spec, s, *_corner_table(spec, cells))
 
 
-def _mesh_signed_cells(spec: GridSpec, cells: np.ndarray, s: np.ndarray) -> TriMesh:
-    """Signed marching cubes over sorted cells with corner values ``s`` (m, 8);
-    only cells with 1 to 7 negative corners hold surface."""
+def _mesh_signed_cells(spec: GridSpec, s: np.ndarray, ids: np.ndarray,
+                       index: np.ndarray) -> TriMesh:
+    """Signed marching cubes over sorted cells with corner values ``s`` (m, 8)
+    and rows ``index`` into the corner table ``ids``; only cells with 1 to 7
+    negative corners hold surface."""
     inside = (s < 0).sum(axis=1)
     active = (inside > 0) & (inside < 8)
-    return _mesh_cells(spec, cells[active], s[active])[0]
+    return _mesh_cells(spec, s[active], ids, index[active])[0]

@@ -15,9 +15,11 @@ over by BLAS.
 sorted distinct corner ids of its cells and each cell's (m, 8) index into
 them. A cell's min corner id i + n j + n^2 k rises with its cell id, so for
 sorted cells every column of the (m, 8) corner ids is already sorted, and
-one stable sort of those 8 runs deduplicates them. Later stages pick the
-corners of a subset of the cells out of the table with a mask and a rank
-(``_corner_subtable``) instead of sorting again.
+one stable sort of those 8 runs deduplicates them. It is the only lattice
+index: later stages pick the corners of a subset of the cells out of the
+table with a mask and a rank (``_corner_subtable``) instead of sorting
+again, and the weld keys each lattice edge by its axis and the rank of its
+low corner in the table.
 """
 
 from __future__ import annotations
@@ -75,9 +77,15 @@ def resolve_threads(threads: int | None = None) -> int:
         count = parse(value)
     except (TypeError, ValueError):
         count = 0
-    if count < 1:
-        raise ValueError(f"{source} must be an integer of at least 1, got {value!r}")
+    _require(count >= 1, source, "an integer of at least 1", value)
     return count
+
+
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    """Refuse an argument that breaks its rule with a ``ValueError`` naming
+    it: "<name> must be <rule>, got <value>"."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class NonFiniteFieldError(ValueError):
@@ -232,14 +240,19 @@ def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
     value names the first such corner in x-fastest order.
     """
     n = spec.resolution
-    xs, ys, zs = (spec.axis_coords(a) for a in range(3))
 
     def points(s, e):
-        i = np.arange(s, e) if ids is None else ids[s:e]
-        return np.column_stack([xs[i % n], ys[i // n % n], zs[i // (n * n)]])
+        return _corner_points(spec, np.arange(s, e) if ids is None else ids[s:e])
 
     return _evaluate(field, n ** 3 if ids is None else len(ids), points, threads,
                      grad, "corner")
+
+
+def _corner_points(spec: GridSpec, ids: np.ndarray) -> np.ndarray:
+    """The (k, 3) lattice points of x-fastest corner ids."""
+    n = spec.resolution
+    xs, ys, zs = (spec.axis_coords(a) for a in range(3))
+    return np.column_stack([xs[ids % n], ys[ids // n % n], zs[ids // (n * n)]])
 
 
 def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> np.ndarray:
@@ -279,40 +292,25 @@ def _lattice_band(values: np.ndarray, lower: float, upper: float
     return cells, _cell_corners(values, np.column_stack([i, j, k]))
 
 
-def _min_corner_ids(spec: GridSpec, cells: np.ndarray) -> np.ndarray:
-    """x-fastest id i + n j + n^2 k of the min corner of each linear cell id;
-    it rises with the cell id."""
-    m = spec.resolution - 1
-    return cells + cells // m + spec.resolution * (cells // (m * m))
-
-
-def _group_runs(flat: np.ndarray):
-    """Stable sort of an array made of presorted runs: (order, values, first,
-    group), the sorting permutation, the sorted values, the sorted position
-    of the first entry of each distinct value, and the rank of every sorted
-    entry's value among the distinct ones. Equal values keep their run order."""
+def _corner_table(spec: GridSpec, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct corners of sorted cells: (ids, index), their sorted
+    x-fastest corner ids and the (m, 8) position in ``ids`` of each cell's
+    corners in ``CORNER_OFFSETS`` order, the arrays
+    ``np.unique(corner_ids, return_inverse=True)`` gives. A cell's min corner
+    id i + n j + n^2 k rises with its cell id, so each column of the corner
+    ids is presorted and one stable sort merges the 8 runs; memory grows
+    with the cells, not with the lattice."""
+    n, m = spec.resolution, spec.resolution - 1
+    low = cells + cells // m + n * (cells // (m * m))
+    flat = ((CORNER_OFFSETS @ (1, n, n * n))[:, None] + low).ravel()
     order = np.argsort(flat, kind="stable")
     values = flat[order]
     head = np.empty(len(values), dtype=bool)
     head[:1] = True
     np.not_equal(values[1:], values[:-1], out=head[1:])
     first = np.flatnonzero(head)
-    group = np.repeat(np.arange(len(first)), np.diff(first, append=len(values)))
-    return order, values, first, group
-
-
-def _corner_table(spec: GridSpec, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct corners of sorted cells: (ids, index), their sorted
-    x-fastest corner ids and the (m, 8) position in ``ids`` of each cell's
-    corners in ``CORNER_OFFSETS`` order, the arrays
-    ``np.unique(corner_ids, return_inverse=True)`` gives. Each column of the
-    corner ids rises with the cell id, so one stable sort merges 8 presorted
-    runs; memory grows with the cells, not with the lattice."""
-    n = spec.resolution
-    order, values, first, group = _group_runs(
-        ((CORNER_OFFSETS @ (1, n, n * n))[:, None] + _min_corner_ids(spec, cells)).ravel())
     index = np.empty(len(order), dtype=np.int64)
-    index[order] = group
+    index[order] = np.repeat(np.arange(len(first)), np.diff(first, append=len(values)))
     return values[first], index.reshape(8, -1).T
 
 

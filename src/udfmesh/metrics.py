@@ -23,12 +23,11 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import render
 from .extract import _mesh_signed_cells
 from .fields import UdfField
-from .grid import GridSpec, sample_band
+from .grid import GridSpec, _require, sample_band
 from .mesh import TriMesh
 
 DEFAULT_EPS_FACTOR = 0.55
@@ -85,6 +84,7 @@ def nearest_neighbor_sq(query: np.ndarray, target: np.ndarray):
     identical to a brute-force scan even when two targets tie within
     rounding of each other.
     """
+    from scipy.spatial import cKDTree     # imported here to keep it off the meshing path
     k = min(4, len(target))
     idx = cKDTree(target).query(query, k=k)[1].reshape(len(query), k)
     diff = query[:, None, :] - target[idx]
@@ -179,7 +179,6 @@ def inflate_mesh(field: UdfField, spec: GridSpec, eps: float | None = None,
     """
     if eps is None:
         eps = DEFAULT_EPS_FACTOR * float(spec.step.max())
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    cells, u8, _, _ = sample_band(field, spec, eps, eps, threads)
-    return _mesh_signed_cells(spec, cells, u8 - eps)
+    _require(0 < eps < np.inf, "eps", "positive and finite", eps)
+    _, u8, (ids, index), _ = sample_band(field, spec, eps, eps, threads)
+    return _mesh_signed_cells(spec, u8 - eps, ids, index)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import UdfField
-from .grid import GridSpec
+from .grid import GridSpec, _require
 from .mesh import TriMesh
 
 
@@ -38,8 +38,11 @@ def smooth_borders(mesh: TriMesh, steps: int = 5, weight: float = 0.5) -> TriMes
     Each step moves every border vertex that has exactly two border-edge
     neighbors toward their midpoint by ``weight``; all other vertices
     (interior, and border junctions with three or more border edges) stay
-    put. Connectivity never changes.
+    put. Connectivity never changes. ``steps`` must be at least 0 and
+    ``weight`` in [0, 1]: a larger weight overshoots the midpoint.
     """
+    _require(steps >= 0, "steps", "at least 0", steps)
+    _require(0 <= weight <= 1, "weight", "in [0, 1]", weight)
     count, nbrs, _ = mesh.border_table()
     idx = np.flatnonzero(count == 2)
     if steps <= 0 or len(idx) == 0:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +56,12 @@ def non_finite_obj(tmp_path, value):
     return path
 
 
+def faceless_obj(tmp_path):
+    path = tmp_path / "points.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    return path
+
+
 SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
 
 
@@ -79,17 +88,51 @@ SPHERE = ["--family", "sphere", "--params", "0.5", "--res", "9"]
                  "--out", tmp / "o.obj"],
     lambda tmp: ["mesh", *SPHERE, "--threads", "0", "--out", tmp / "o.obj"],
     lambda tmp: ["dump-grid", *SPHERE, "--threads", "-4", "--out", tmp / "g"],
+    lambda tmp: [*fit_pc(tmp, *SPHERE), "--surface-samples", "0"],
+    lambda tmp: [*fit_pc(tmp, *SPHERE), "--seed", "-1"],
+    lambda tmp: ["metrics", "--pred", patch_obj(tmp), "--gt", patch_obj(tmp), "--seed", "-1"],
+    lambda tmp: [*fit_pc(tmp, *SPHERE), "--lr", "nan"],
+    lambda tmp: [*fit_pc(tmp, *SPHERE), "--lr", "-0.5"],
+    lambda tmp: [*fit_pc(tmp, *SPHERE), "--reg", "nan"],
+    lambda tmp: [*fit_pc(tmp, *SPHERE), "--iters", "0"],
+    lambda tmp: [*fit_pc(tmp, *SPHERE), "--iters", "-3"],
+    lambda tmp: [*fit_pc(tmp, *SPHERE), "--alpha", "0"],
+    lambda tmp: ["gradcheck", *SPHERE, "--alpha", "-1"],
+    lambda tmp: ["gradcheck", *SPHERE, "--directions", "0"],
+    lambda tmp: ["gradcheck", *SPHERE, "--directions", "-2"],
+    lambda tmp: ["mesh", *SPHERE, "--smooth-weight", "nan", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", *SPHERE, "--smooth-weight", "7", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", *SPHERE, "--smooth-steps", "-2", "--out", tmp / "o.obj"],
+    lambda tmp: ["mesh", *SPHERE, "--grad-norm-min", "nan", "--out", tmp / "o.obj"],
+    lambda tmp: ["metrics", "--pred", faceless_obj(tmp), "--gt", patch_obj(tmp)],
 ], ids=["missing-weights", "weights-not-json", "eps-negative", "eps-zero",
         "cull-factor-zero", "prune-tol-negative", "prune-tol-zero",
         "gradcheck-eps-zero", "metrics-no-samples", "metrics-nan-vertex",
         "metrics-inf-vertex", "family-param-nan", "clamp-with-family",
         "clamp-with-weights", "params-with-mesh", "inflate-params-with-mesh",
-        "threads-zero", "threads-negative"])
+        "threads-zero", "threads-negative", "fit-no-surface-samples", "fit-seed-negative",
+        "metrics-seed-negative", "fit-lr-nan", "fit-lr-negative", "fit-reg-nan",
+        "fit-no-iters", "fit-iters-negative", "fit-alpha-zero", "gradcheck-alpha-negative",
+        "gradcheck-no-directions", "gradcheck-directions-negative", "smooth-weight-nan",
+        "smooth-weight-overshoots", "smooth-steps-negative", "grad-norm-min-nan",
+        "metrics-faceless"])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert run(*argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert [line.startswith("error:") for line in err.splitlines()] == [True]
     assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_unloaded():
+    # a fresh interpreter: meshing a family or a network never needs scipy,
+    # so importing the package and its command line does not load it
+    import udfmesh
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(udfmesh.__file__)))
+    code = ("import sys, udfmesh, udfmesh.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_threads_offered_only_where_sampling_reads_it():

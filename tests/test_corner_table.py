@@ -2,6 +2,7 @@
 sort-based paths they replace (``tests/oracles.py``), bitwise."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from udfmesh import (GridSpec, MeshUdf, OpenCylinderUdf, SphereShellUdf, TriMesh,
                      extract_mesh_detailed, inflate_mesh, primitives, random_mlp,
                      sample_grid)
-from udfmesh.extract import _mesh_cells
-from udfmesh.grid import _corner_subtable, _corner_table, _sample_corners, sample_band
+from udfmesh.extract import DEFAULT_GRAD_NORM_MIN, _mesh_cells, _pseudo_sign
+from udfmesh.grid import _corner_subtable, _corner_table, _cull, _sample_corners, sample_band
 
 from conftest import generic_spec
 from oracles import (unique_cell_gradients, unique_corner_table,
@@ -113,6 +114,7 @@ def test_weld_matches_unique(n):
     # computes it, and the signs disagree on many shared edges
     spec = generic_spec(n)
     rng = np.random.default_rng(100 + n)
+    every = _corner_table(spec, np.arange(spec.n_cells))
     seen = 0
     for name, cells in cell_subsets(spec, rng).items():
         for zeros in (False, True):
@@ -120,13 +122,30 @@ def test_weld_matches_unique(n):
             if zeros:
                 s[rng.random(s.shape) < 0.2] = 0.0
                 s[rng.random(s.shape) < 0.1] = -0.0
-            mesh, vertex_ids, disagreements = _mesh_cells(spec, cells, s)
+            mesh, vertex_ids, disagreements = _mesh_cells(spec, s, *_corner_table(spec, cells))
             ref, ref_ids, ref_disagreements = unique_weld(spec, spec.cell_origin_ijk(cells), s)
             assert_same_mesh(mesh, ref)
             assert_bitwise(vertex_ids, ref_ids)
             assert disagreements == ref_disagreements, name
+            # the rows of a table of every cell: the same corners, other ranks
+            wide, wide_ids, wide_disagreements = _mesh_cells(spec, s, every[0], every[1][cells])
+            assert_same_mesh(wide, ref)
+            assert_bitwise(wide_ids, ref_ids)
+            assert wide_disagreements == ref_disagreements, name
             seen += disagreements
     assert (seen > 0) == (n > 2)      # a lone cell shares no edge
+
+
+def signed_candidates(field, spec):
+    """The cells extraction welds: (s, tight, band), their signed corner
+    values, their own corner table, and their rows of the corner table that
+    ``sample_band`` handed on."""
+    _, u8, (band_ids, band_index), _ = sample_band(field, spec, -np.inf, spec.cell_diagonal)
+    keep = _cull(u8, spec, 1.0)
+    ids, index = _corner_subtable((band_ids, band_index), keep)
+    g8 = _sample_corners(field, spec, None, True, ids)[1][index]
+    s, _, has_anchor = _pseudo_sign(u8[keep], g8, DEFAULT_GRAD_NORM_MIN)
+    return s, (ids, index[has_anchor]), (band_ids, band_index[keep][has_anchor])
 
 
 def extraction_cases():
@@ -156,3 +175,30 @@ def test_extraction_matches_unique_paths(name, field, spec):
         assert counters(stats) == counters(ref_stats)
     for eps in (0.55 * float(spec.step.max()), 0.1):
         assert_same_mesh(inflate_mesh(field, spec, eps), unique_inflate_mesh(field, spec, eps))
+
+
+@pytest.mark.parametrize("name,field,spec", extraction_cases(),
+                         ids=[c[0] for c in extraction_cases()])
+def test_weld_reads_the_band_table(name, field, spec):
+    s, tight, band = signed_candidates(field, spec)
+    mesh, vertex_ids, disagreements = _mesh_cells(spec, s, *tight)
+    wide, wide_ids, wide_disagreements = _mesh_cells(spec, s, *band)
+    assert_same_mesh(wide, mesh)
+    assert_bitwise(wide_ids, vertex_ids)
+    assert wide_disagreements == disagreements
+
+
+def test_weld_memory_per_signed_cell():
+    # the traced peak of the weld, its output included, is about 470 B per
+    # signed cell of the bench garment at 129^3
+    spec = bench_spec(129)
+    s, (ids, index), _ = signed_candidates(MeshUdf(bench_garment()), spec)
+    _mesh_cells(spec, s[:10], ids, index[:10])
+    tracemalloc.start()
+    try:
+        mesh = _mesh_cells(spec, s, ids, index)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_faces > 0
+    assert peak <= 600 * len(s)

@@ -26,7 +26,7 @@ def sign_cell(u8, g8, grad_norm_min=0.3, anchor=None):
 
 def cell_triangles(spec, cell, s):
     """Triangles of one signed cell as (n, 3, 3) vertex positions."""
-    mesh = _mesh_cells(spec, np.array([cell]), s[None])[0]
+    mesh = _mesh_cells(spec, s[None], *_corner_table(spec, np.array([cell])))[0]
     return mesh.vertices[mesh.faces]
 
 
@@ -180,7 +180,8 @@ class TestWeld:
     def test_single_cell_vertex_count_equals_cut_edges(self):
         s, _ = sign_cell(*slab_cell())
         spec = CELL_SPEC
-        mesh, vertex_ids, disagreements = _mesh_cells(spec, np.array([0]), s[None])
+        mesh, vertex_ids, disagreements = _mesh_cells(spec, s[None],
+                                                      *_corner_table(spec, np.array([0])))
         ref_ids = unique_weld(spec, spec.cell_origin_ijk(np.array([0])), s[None])[1]
         assert mesh.n_vertices == len(ref_ids) == 4
         np.testing.assert_array_equal(vertex_ids, ref_ids)
@@ -196,7 +197,7 @@ class TestWeld:
             s, _ = sign_cell(u, g)
             if s is None or not (s < 0).any():
                 continue
-            mesh, vertex_ids, _ = _mesh_cells(spec, np.array([c]), s[None])
+            mesh, vertex_ids, _ = _mesh_cells(spec, s[None], *_corner_table(spec, np.array([c])))
             np.testing.assert_array_equal(
                 vertex_ids,
                 unique_weld(spec, spec.cell_origin_ijk(np.array([c])), s[None])[1])

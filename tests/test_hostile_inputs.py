@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
-                     SphereShellUdf, TranslatedMeshUdf, TriMesh, extract_mesh_detailed,
-                     mesh_signed_grid, parametric_field, primitives, random_mlp,
-                     sample_grid, write_ply)
+                     SphereShellUdf, TranslatedMeshUdf, TriMesh, assemble_jacobian,
+                     directional_gradcheck, extract_mesh_detailed, fit_point_cloud,
+                     inflate_mesh, mesh_signed_grid, parametric_field, primitives,
+                     random_mlp, sample_grid, smooth_borders, write_ply)
+from udfmesh import diffgeom, extract
 from udfmesh.distance import COORD_LIMIT
 from udfmesh.fields import PARAMETRIC_FAMILIES
 from udfmesh.grid import THREADS_ENV_VAR, NonFiniteFieldError, resolve_threads
@@ -207,6 +209,62 @@ def test_signed_lattice_non_finite_corner_is_named(bad):
 def test_signed_lattice_shape(shape):
     with pytest.raises(ValueError, match=r"^values of shape .* do not fit a 17\^3 lattice"):
         mesh_signed_grid(np.zeros(shape), SPEC17)
+
+
+# -- extraction, fitting and smoothing arguments ------------------------------
+
+def untouched(*args, **kwargs):
+    raise AssertionError("ran work before refusing an argument")
+
+
+@pytest.mark.parametrize("name,value", [
+    ("cull_factor", NAN), ("cull_factor", INF), ("cull_factor", -1.0),
+    ("grad_norm_min", NAN), ("grad_norm_min", INF), ("grad_norm_min", -0.1),
+])
+def test_extraction_argument_is_refused_before_sampling(name, value, monkeypatch):
+    monkeypatch.setattr(extract, "sample_band", untouched)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        extract_mesh_detailed(SphereShellUdf(0.5), SPEC17, **{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("iters", 0), ("iters", -3), ("n_surface", 0), ("seed", -1),
+    ("lr", NAN), ("lr", -0.5), ("lr", 0.0), ("lr", INF),
+    ("lambda_reg", NAN), ("lambda_reg", -1.0), ("lambda_reg", INF),
+    ("alpha", 0.0), ("alpha", -1.0), ("alpha", NAN),
+])
+def test_fit_argument_is_refused_before_extraction(name, value, monkeypatch):
+    monkeypatch.setattr(diffgeom, "extract_mesh", untouched)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        fit_point_cloud(SphereShellUdf(0.5), np.zeros((4, 3)), SPEC17, **{name: value})
+
+
+@pytest.mark.parametrize("name,value", [("eps", 0.0), ("eps", NAN), ("eps", -1e-3),
+                                        ("alpha", 0.0), ("alpha", -1.0), ("alpha", INF)])
+def test_gradcheck_argument_is_refused_before_extraction(name, value, monkeypatch):
+    monkeypatch.setattr(diffgeom, "extract_mesh", untouched)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        directional_gradcheck(SphereShellUdf(0.5), SPEC17, np.ones(1), **{name: value})
+
+
+@pytest.mark.parametrize("eps", [NAN, INF, -0.1])
+def test_inflation_isolevel_is_refused(eps):
+    # a NaN or infinite eps met no cell and returned an empty shell
+    with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
+        inflate_mesh(SphereShellUdf(0.5), SPEC17, eps)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, NAN, INF])
+def test_jacobian_probe_distance_is_refused(alpha):
+    with pytest.raises(ValueError, match=r"^alpha must be positive and finite"):
+        assemble_jacobian(primitives.square_patch(), SphereShellUdf(0.5), alpha)
+
+
+@pytest.mark.parametrize("name,value", [("steps", -2), ("weight", NAN), ("weight", 7.0),
+                                        ("weight", -0.5)])
+def test_smoothing_argument_is_refused(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        smooth_borders(primitives.square_patch(), **{name: value})
 
 
 # -- worker counts -------------------------------------------------------------
