@@ -12,8 +12,10 @@ not an integer exits 2.
 
 Every numeric flag is checked against its rule (``_FLAG_RULES``: counts
 at least 1, --smooth-weight in [0, 1], scales finite, ...) before any work,
-and one out of range exits 2 with one line naming it, as does a metrics
-input with no surface area to sample.
+and one out of range exits 2 with one line naming it. Every input file
+(--mesh, --weights, --pred, --gt, --target) is read through ``_read``: one
+that is missing, unreadable or malformed exits 2 with one line naming the
+file, as does a metrics input with no surface area to sample.
 """
 
 from __future__ import annotations
@@ -90,13 +92,13 @@ _INDEX = (lambda v: v >= 0, "at least 0")
 _POSITIVE = (lambda v: 0 < v < np.inf, "positive and finite")
 _NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "non-negative and finite")
 
-# the rule of every numeric flag, by its destination; --res, --clamp and
-# --threads are checked where they are read
+# the rule of every numeric flag, by its destination; --res and --threads
+# are checked where they are read
 _FLAG_RULES = {
     "samples": _COUNT, "iters": _COUNT, "surface_samples": _COUNT, "directions": _COUNT,
     "seed": _INDEX, "smooth_steps": _INDEX,
     "cull_factor": _POSITIVE, "prune_tol": _POSITIVE, "eps": _POSITIVE,
-    "eps_factor": _POSITIVE, "lr": _POSITIVE, "alpha": _POSITIVE,
+    "eps_factor": _POSITIVE, "lr": _POSITIVE, "alpha": _POSITIVE, "clamp": _POSITIVE,
     "grad_norm_min": _NON_NEGATIVE, "reg": _NON_NEGATIVE,
     "smooth_weight": (lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
@@ -120,6 +122,19 @@ def _parse_params(text):
         raise CliError(f"cannot parse --params value {text!r}")
 
 
+def _read(read, path, what, *args):
+    """``read(path, *args)``; a missing file, or one that cannot be read or
+    is refused, is a usage error naming the file."""
+    if not os.path.exists(path):
+        raise CliError(f"{what} not found: {path}")
+    try:
+        return read(path, *args)
+    except (io.MeshFormatError, OSError) as exc:
+        raise CliError(str(exc))
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}")
+
+
 def _build_field(args) -> UdfField:
     sources = [s for s in ("mesh", "weights", "family") if getattr(args, s, None)]
     if len(sources) != 1:
@@ -131,23 +146,10 @@ def _build_field(args) -> UdfField:
         raise CliError("--clamp is read only with --mesh")
     params = _parse_params(args.params)
     if sources == ["mesh"]:
-        if not os.path.exists(args.mesh):
-            raise CliError(f"mesh file not found: {args.mesh}")
-        try:
-            ref = io.read_mesh(args.mesh)
-        except (io.MeshFormatError, OSError) as exc:
-            raise CliError(str(exc))
-        try:
-            return MeshUdf(ref, d_max=args.clamp)
-        except ValueError as exc:
-            raise CliError(f"--clamp: {exc}")
+        return _read(lambda p: MeshUdf(io.read_mesh(p), d_max=args.clamp),
+                     args.mesh, "mesh file")
     if args.weights:
-        if not os.path.exists(args.weights):
-            raise CliError(f"weight file not found: {args.weights}")
-        try:
-            return MlpUdf.from_file(args.weights, params)
-        except (ValueError, OSError) as exc:
-            raise CliError(f"{args.weights}: {exc}")
+        return _read(MlpUdf.from_file, args.weights, "weight file", params)
     try:
         return parametric_field(args.family, params or [])
     except ValueError as exc:
@@ -208,14 +210,7 @@ def cmd_mesh_inflate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    for path in (args.pred, args.gt):
-        if not os.path.exists(path):
-            raise CliError(f"mesh file not found: {path}")
-    try:
-        pred = io.read_mesh(args.pred)
-        gt = io.read_mesh(args.gt)
-    except (io.MeshFormatError, OSError) as exc:
-        raise CliError(str(exc))
+    pred, gt = (_read(io.read_mesh, path, "mesh file") for path in (args.pred, args.gt))
     for path, mesh in ((args.pred, pred), (args.gt, gt)):
         if not mesh.face_areas().sum() > 0:
             raise CliError(f"{path} has no surface area to sample")
@@ -246,12 +241,7 @@ def cmd_fit_pc(args) -> int:
     field = _build_field(args)
     if field.param_dim == 0:
         raise CliError("field has no free parameters to fit")
-    if not os.path.exists(args.target):
-        raise CliError(f"target point cloud not found: {args.target}")
-    try:
-        target = io.read_xyz(args.target)
-    except io.MeshFormatError as exc:
-        raise CliError(str(exc))
+    target = _read(io.read_xyz, args.target, "target point cloud")
     spec = _build_spec(args)
     result = diffgeom.fit_point_cloud(
         field, target, spec, iters=args.iters, lr=args.lr,

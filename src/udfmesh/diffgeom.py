@@ -235,11 +235,8 @@ def fit_point_cloud(field: UdfField, target: np.ndarray, spec: GridSpec,
 
     for it in range(iters):
         current = field.with_params(params)
-        mesh = extract_mesh(current, spec)
-        if not mesh.is_empty():
-            mesh = remove_spurious_facets(mesh, current, prune_tol)
-        if not mesh.is_empty():
-            mesh = smooth_borders(mesh)
+        mesh = remove_spurious_facets(extract_mesh(current, spec), current, prune_tol)
+        mesh = smooth_borders(mesh)
         if mesh.is_empty():
             # nothing to descend on, and the parameters cannot change again
             result.events.append((it, "empty mesh, fit stopped"))

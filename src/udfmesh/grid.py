@@ -383,8 +383,6 @@ def _cull(u8: np.ndarray, spec: GridSpec, cull_factor: float) -> np.ndarray:
     in ``CORNER_OFFSETS`` order, is at most ``cull_factor`` cell diagonals.
     ``u8.sum(axis=1)`` adds pairwise, which changes the last bit of some means
     and so moves cells across the cull boundary."""
-    if cull_factor <= 0:
-        raise ValueError("cull_factor must be positive")
     return sum(u8[:, c] for c in range(8)) / 8.0 <= cull_factor * spec.cell_diagonal
 
 
@@ -412,9 +410,14 @@ def load_grid_dump(base_path: str) -> tuple[np.ndarray, GridSpec]:
     """Read a dumped grid back as ((N, N, N) float array, GridSpec)."""
     with open(base_path + ".json") as fh:
         meta = json.load(fh)
-    spec = GridSpec(meta["resolution"], tuple(meta["bounds_min"]), tuple(meta["bounds_max"]))
+    try:
+        spec = GridSpec(meta["resolution"], tuple(meta["bounds_min"]),
+                        tuple(meta["bounds_max"]))
+    except KeyError as exc:
+        raise ValueError(f"{base_path}.json: no {exc} entry")
     flat = np.fromfile(base_path + ".f32", dtype="<f4").astype(np.float64)
     n = spec.resolution
     if flat.size != n ** 3:
-        raise ValueError(f"grid dump holds {flat.size} values, expected {n ** 3}")
+        raise ValueError(f"{base_path}.f32: grid dump holds {flat.size} values, "
+                         f"expected {n ** 3}")
     return flat.reshape(n, n, n).transpose(2, 1, 0).copy(), spec

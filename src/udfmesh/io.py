@@ -1,14 +1,15 @@
-"""Mesh, point-cloud and weight-file readers and writers.
+"""Mesh and point-cloud readers and writers.
 
 OBJ is the canonical interchange format (ASCII, ``%.8g`` vertex precision);
 PLY is written binary little-endian with double-precision positions so a
-round trip is exact. Point clouds are whitespace-separated XYZ text.
+round trip is exact. Point clouds are whitespace-separated XYZ text. A
+reader returns its value or raises ``MeshFormatError`` naming the file.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+import warnings
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .mesh import TriMesh
 
 
 class MeshFormatError(ValueError):
-    pass
+    """A mesh or point-cloud file that cannot be read; the message names it."""
 
 
 def write_obj(mesh: TriMesh, path) -> None:
@@ -30,7 +31,7 @@ def write_obj(mesh: TriMesh, path) -> None:
 
 def read_obj(path) -> TriMesh:
     verts, faces = [], []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
@@ -38,6 +39,8 @@ def read_obj(path) -> TriMesh:
             try:
                 if parts[0] == "v":
                     v = [float(x) for x in parts[1:4]]
+                    if len(v) < 3:
+                        raise ValueError(f"vertex {len(verts) + 1} has {len(v)} coordinates")
                     if not all(map(math.isfinite, v)):
                         raise ValueError(f"vertex {len(verts) + 1} is not finite")
                     verts.append(v)
@@ -61,6 +64,11 @@ def _mesh(path, vertices, faces) -> TriMesh:
         raise MeshFormatError(f"{path}: {exc}")
 
 
+# one binary PLY face record: a vertex count, then three vertex indices
+_PLY_FACE = np.dtype([("count", "u1"), ("index", "<i4", (3,))])
+_PLY_REAL = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8"}
+
+
 def write_ply(mesh: TriMesh, path) -> None:
     header = (
         "ply\n"
@@ -71,63 +79,57 @@ def write_ply(mesh: TriMesh, path) -> None:
         "property list uchar int vertex_indices\n"
         "end_header\n"
     )
+    faces = np.empty(mesh.n_faces, _PLY_FACE)
+    faces["count"] = 3
+    faces["index"] = mesh.faces
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(mesh.vertices.astype("<f8").tobytes())
-        body = bytearray()
-        for f in mesh.faces:
-            body += struct.pack("<Biii", 3, int(f[0]), int(f[1]), int(f[2]))
-        fh.write(bytes(body))
+        fh.write(faces.tobytes())
 
 
 def read_ply(path) -> TriMesh:
+    """A binary little-endian PLY of triangles with int32 indices; the first
+    three vertex properties, float or double, are x, y and z."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"ply":
             raise MeshFormatError(f"{path}: not a PLY file")
-        fmt = None
-        n_verts = n_faces = 0
-        vertex_props = []
-        current = None
-        while True:
-            line = fh.readline()
+        fmt, counts, types, element = None, {}, [], None
+        while (line := fh.readline()).strip() != b"end_header":
             if not line:
                 raise MeshFormatError(f"{path}: unterminated PLY header")
-            parts = line.split()
-            if parts[0] == b"format":
-                fmt = parts[1]
-            elif parts[0] == b"element":
-                current = parts[1]
-                if current == b"vertex":
-                    n_verts = int(parts[2])
-                elif current == b"face":
-                    n_faces = int(parts[2])
-            elif parts[0] == b"property" and current == b"vertex":
-                vertex_props.append((parts[1], parts[2]))
-            elif parts[0] == b"end_header":
-                break
-        if fmt != b"binary_little_endian":
-            raise MeshFormatError(f"{path}: only binary little-endian PLY supported")
-
-        dtype_map = {b"float": "<f4", b"float32": "<f4",
-                     b"double": "<f8", b"float64": "<f8"}
-        try:
-            vdtype = np.dtype([(f"p{i}", dtype_map[t]) for i, (t, _) in
-                               enumerate(vertex_props)])
-        except KeyError as exc:
-            raise MeshFormatError(f"{path}: unsupported vertex property type {exc}")
-        raw = np.frombuffer(fh.read(vdtype.itemsize * n_verts), dtype=vdtype,
-                            count=n_verts)
-        verts = np.stack([raw[f"p{i}"].astype(np.float64) for i in range(3)], axis=1)
-
-        faces = np.empty((n_faces, 3), dtype=np.int64)
-        for i in range(n_faces):
-            (count,) = struct.unpack("<B", fh.read(1))
-            idx = struct.unpack("<" + "i" * count, fh.read(4 * count))
-            if count != 3:
-                raise MeshFormatError(f"{path}: face {i} has {count} vertices; "
-                                      "only triangles supported")
-            faces[i] = idx
-    return _mesh(path, verts, faces)
+            words = line.decode("ascii", "replace").split()
+            try:
+                key, *rest = words
+                if key == "format":
+                    fmt = rest[0]
+                elif key == "element":
+                    element = rest[0]
+                    counts[element] = int(rest[1])
+                elif key == "property" and element == "vertex":
+                    types.append(rest[0])
+            except (ValueError, IndexError):
+                raise MeshFormatError(f"{path}: bad PLY header line {' '.join(words)!r}")
+        body = fh.read()
+    if fmt != "binary_little_endian":
+        raise MeshFormatError(f"{path}: only binary little-endian PLY supported")
+    if len(types) < 3 or not set(types) <= _PLY_REAL.keys():
+        raise MeshFormatError(f"{path}: vertex properties {' '.join(types)!r} are not "
+                              "x, y, z first, each float or double")
+    vertex = np.dtype([(f"p{i}", _PLY_REAL[t]) for i, t in enumerate(types)])
+    n_verts, n_faces = counts.get("vertex", 0), counts.get("face", 0)
+    if min(n_verts, n_faces) < 0 or (
+            len(body) < vertex.itemsize * n_verts + _PLY_FACE.itemsize * n_faces):
+        raise MeshFormatError(f"{path}: PLY data of {len(body)} bytes does not hold "
+                              f"{n_verts} vertices and {n_faces} faces")
+    raw = np.frombuffer(body, vertex, n_verts)
+    faces = np.frombuffer(body, _PLY_FACE, n_faces, offset=raw.nbytes)
+    # the records before the first non-triangle are aligned, so it is face i
+    bad = np.flatnonzero(faces["count"] != 3)
+    if bad.size:
+        raise MeshFormatError(f"{path}: face {bad[0]} has {faces['count'][bad[0]]} "
+                              "vertices; only triangles supported")
+    return _mesh(path, np.stack([raw[f"p{i}"] for i in range(3)], axis=1), faces["index"])
 
 
 def write_mesh(mesh: TriMesh, path) -> None:
@@ -153,9 +155,14 @@ def write_xyz(points: np.ndarray, path) -> None:
 
 def read_xyz(path) -> np.ndarray:
     try:
-        pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is refused below, not warned about
+            warnings.simplefilter("ignore")
+            pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise MeshFormatError(f"{path}: bad XYZ data: {exc}")
+    if pts.size == 0:
+        raise MeshFormatError(f"{path}: holds no points")
     if pts.shape[1] < 3:
         raise MeshFormatError(f"{path}: expected 3 columns, found {pts.shape[1]}")
     bad = np.flatnonzero(~np.isfinite(pts[:, :3]).all(axis=1))

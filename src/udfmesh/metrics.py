@@ -57,8 +57,10 @@ def sample_surface(mesh: TriMesh, n: int, seed: int = 0):
 
     Returns (points (n,3), normals (n,3), face indices (n,), barycentric
     weights (n,3)); the last two let callers push sample gradients back to
-    the vertices.
+    the vertices. ``n`` must be at least 1 and ``seed`` at least 0.
     """
+    _require(n >= 1, "n", "at least 1", n)
+    _require(seed >= 0, "seed", "at least 0", seed)
     if mesh.is_empty():
         raise ValueError("cannot sample an empty mesh")
     areas = mesh.face_areas()
@@ -150,7 +152,11 @@ def image_consistency(pred: TriMesh, gt: TriMesh, size: int = render.IMAGE_SIZE)
 
 def evaluate_pair(pred: TriMesh, gt: TriMesh, n_samples: int = DEFAULT_SAMPLES,
                   seed: int = 0, image_size: int = render.IMAGE_SIZE) -> MetricsReport:
-    """All three metrics between a reconstruction and a reference mesh."""
+    """All three metrics between a reconstruction and a reference mesh.
+    ``n_samples`` and ``image_size`` must be at least 1, ``seed`` at least 0."""
+    _require(n_samples >= 1, "n_samples", "at least 1", n_samples)
+    _require(seed >= 0, "seed", "at least 0", seed)
+    _require(image_size >= 1, "image_size", "at least 1", image_size)
     timings = {}
     t0 = time.perf_counter()
     a_pts, a_nrm, _, _ = sample_surface(pred, n_samples, seed)

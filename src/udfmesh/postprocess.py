@@ -23,8 +23,7 @@ def remove_spurious_facets(mesh: TriMesh, field: UdfField, tol: float) -> TriMes
     only if all three of its vertices sit within ``tol`` of the surface.
     Orphaned vertices are dropped and the mesh reindexed.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require(0 < tol < np.inf, "tol", "positive and finite", tol)
     if mesh.is_empty():
         return mesh
     near = field.eval(mesh.vertices) <= tol

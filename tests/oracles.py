@@ -18,11 +18,13 @@ count. Only the published case tables and the camera frame (``look_at``)
 are shared, since they are fixed reference data, not what the oracles
 check; the extraction oracle also reuses the library stages it does not
 check (``sample_band``'s cells and values, the cull and the pseudo-sign).
+The binary PLY writer packs one face at a time with ``struct``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -545,3 +547,24 @@ def unique_inflate_mesh(field, spec, eps: float):
     inside = (s < 0).sum(axis=1)
     active = (inside > 0) & (inside < 8)
     return unique_weld(spec, spec.cell_origin_ijk(cells[active]), s[active])[0]
+
+
+def struct_write_ply(mesh, path) -> None:
+    """Binary little-endian PLY, double positions, each face packed on its
+    own as ``<Biii`` (a count of 3, then three int32 indices)."""
+    header = (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        f"element vertex {mesh.n_vertices}\n"
+        "property double x\nproperty double y\nproperty double z\n"
+        f"element face {mesh.n_faces}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(mesh.vertices.astype("<f8").tobytes())
+        body = bytearray()
+        for f in mesh.faces:
+            body += struct.pack("<Biii", 3, int(f[0]), int(f[1]), int(f[2]))
+        fh.write(bytes(body))

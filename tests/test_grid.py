@@ -663,7 +663,8 @@ class TestCandidateCells:
     def test_rejects_nonpositive_factor(self):
         spec = GridSpec(5)
         with pytest.raises(ValueError, match="cull_factor must be positive"):
-            candidate_cells(sample_grid(SphereShellUdf(0.5), spec), spec, 0.0)
+            extract_mesh_detailed(SphereShellUdf(0.5), spec, cull_factor=0.0,
+                                  samples=sample_grid(SphereShellUdf(0.5), spec))
         with pytest.raises(ValueError, match="cull_factor must be positive"):
             extract_mesh_detailed(SphereShellUdf(0.5), spec, cull_factor=0.0)
 

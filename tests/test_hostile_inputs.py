@@ -16,15 +16,18 @@ import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
                      SphereShellUdf, TranslatedMeshUdf, TriMesh, assemble_jacobian,
-                     directional_gradcheck, extract_mesh_detailed, fit_point_cloud,
-                     inflate_mesh, mesh_signed_grid, parametric_field, primitives,
-                     random_mlp, sample_grid, smooth_borders, write_ply)
-from udfmesh import diffgeom, extract
+                     directional_gradcheck, evaluate_pair, extract_mesh,
+                     extract_mesh_detailed, fit_point_cloud, inflate_mesh,
+                     mesh_signed_grid, parametric_field, primitives, random_mlp,
+                     remove_spurious_facets, sample_grid, sample_surface, smooth_borders,
+                     write_ply)
+from udfmesh import diffgeom, extract, metrics
 from udfmesh.distance import COORD_LIMIT
 from udfmesh.fields import PARAMETRIC_FAMILIES
 from udfmesh.grid import THREADS_ENV_VAR, NonFiniteFieldError, resolve_threads
 
-from test_cli import patch_obj, run
+from test_cli import faceless_obj, patch_obj, run
+from test_io import MALFORMED_PLY, malformed_ply
 
 NAN, INF = float("nan"), float("inf")
 
@@ -267,6 +270,33 @@ def test_smoothing_argument_is_refused(name, value):
         smooth_borders(primitives.square_patch(), **{name: value})
 
 
+@pytest.mark.parametrize("tol", [NAN, INF])
+def test_prune_tolerance_is_refused(tol):
+    # a NaN tolerance dropped every face of the 560-face sphere without a word
+    mesh = extract_mesh(SphereShellUdf(0.5), SPEC17)
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite"):
+        remove_spurious_facets(mesh, SphereShellUdf(0.5), tol)
+
+
+# -- scoring arguments ---------------------------------------------------------
+
+@pytest.mark.parametrize("name,value", [("n_samples", 0), ("n_samples", -5), ("seed", -1),
+                                        ("image_size", 0), ("image_size", -3)])
+def test_scoring_argument_is_refused_before_sampling(name, value, monkeypatch):
+    # n_samples=0 ended in "chamfer requires non-empty point sets", seed=-1 in
+    # numpy's own message, image_size=0 in IC 0 after eight warnings
+    monkeypatch.setattr(metrics, "sample_surface", untouched)
+    patch = primitives.square_patch()
+    with pytest.raises(ValueError, match=rf"^{name} must be at least"):
+        evaluate_pair(patch, patch, **{name: value})
+
+
+@pytest.mark.parametrize("name,value", [("n", 0), ("n", -1), ("seed", -1)])
+def test_surface_sampling_argument_is_refused(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be at least"):
+        sample_surface(primitives.square_patch(), **{"n": 10, name: value})
+
+
 # -- worker counts -------------------------------------------------------------
 
 @pytest.mark.parametrize("threads", [0, -4, 2.5, "2", np.float64(3.0)])
@@ -325,6 +355,12 @@ def ply_with_face(tmp_path, face):
     return path
 
 
+def empty_xyz(tmp_path):
+    path = tmp_path / "empty.xyz"
+    path.write_text("")
+    return path
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: ["metrics", "--pred", obj_with_face(tmp, (1, 2, 4)), "--gt", patch_obj(tmp)],
     lambda tmp: ["metrics", "--pred", obj_with_face(tmp, (1, -5, 3)), "--gt", patch_obj(tmp)],
@@ -337,10 +373,22 @@ def ply_with_face(tmp_path, face):
                  "--out", tmp / "o.obj"],
     lambda tmp: ["mesh", "--mesh", patch_obj(tmp), "--clamp", "-1", "--res", "9",
                  "--out", tmp / "o.obj"],
+    *[lambda tmp, case=case: ["metrics", "--pred", malformed_ply(tmp, case),
+                              "--gt", patch_obj(tmp)] for case in sorted(MALFORMED_PLY)],
+    lambda tmp: ["mesh", "--mesh", faceless_obj(tmp), "--res", "9", "--out", tmp / "o.obj"],
+    lambda tmp: ["fit-pc", "--family", "sphere", "--params", "0.5", "--res", "9",
+                 "--target", empty_xyz(tmp)],
 ], ids=["obj-face-out-of-range", "obj-face-negative", "ply-face-out-of-range",
-        "ply-face-negative", "patch-arity", "cylinder-arity", "negative-clamp"])
+        "ply-face-negative", "patch-arity", "cylinder-arity", "negative-clamp",
+        *(f"ply-{case}" for case in sorted(MALFORMED_PLY)), "faceless-mesh-field",
+        "fit-empty-target"])
+@pytest.mark.filterwarnings("error")
 def test_cli_exits_2_with_one_error_line(argv, tmp_path, capsys):
-    assert run(*argv(tmp_path)) == 2
+    # a warning would reach stderr as a second line, so it fails the case;
+    # --clamp is named only when it was given
+    args = [str(a) for a in argv(tmp_path)]
+    assert run(*args) == 2
     err = capsys.readouterr().err
     assert [line.startswith("error:") for line in err.splitlines()] == [True]
     assert "Traceback" not in err
+    assert ("--clamp" in err) == ("--clamp" in args)
