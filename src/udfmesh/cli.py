@@ -176,7 +176,7 @@ def cmd_mesh(args) -> int:
                                         args.grad_norm_min, threads=args.threads)
     if not args.no_prune and not mesh.is_empty():
         mesh = remove_spurious_facets(mesh, field, prune_tol)
-    if not args.no_smooth and not mesh.is_empty():
+    if not mesh.is_empty():
         mesh = smooth_borders(mesh, steps=args.smooth_steps,
                               weight=args.smooth_weight)
     total = time.perf_counter() - t0
@@ -315,11 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-norm-min", type=float, default=0.3)
     p.add_argument("--no-prune", action="store_true",
                    help="keep facets the field disowns")
-    p.add_argument("--no-smooth", action="store_true",
-                   help="skip border smoothing")
     p.add_argument("--prune-tol", type=float, default=None,
                    help="facet pruning distance (default half a cell diagonal)")
-    p.add_argument("--smooth-steps", type=int, default=5)
+    p.add_argument("--smooth-steps", type=int, default=5,
+                   help="border smoothing steps; 0 turns smoothing off")
     p.add_argument("--smooth-weight", type=float, default=0.5)
     p.add_argument("--out", required=True, help="output mesh (.obj or .ply)")
     p.set_defaults(func=cmd_mesh)
@@ -367,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify vertex derivatives by re-extraction")
     _add_field_args(p)
     _add_grid_args(p)
-    p.add_argument("--alpha", type=float, default=1e-2)
+    p.add_argument("--alpha", type=float, default=1e-2,
+                   help="probe distance of the predicted vertex rates")
     p.add_argument("--eps", type=float, nargs="+", default=[1e-3, 1e-4])
     p.add_argument("--directions", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

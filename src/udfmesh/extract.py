@@ -15,10 +15,12 @@ inflation baseline) runs ``_mesh_cells`` on signed values.
 
 Every path reads one format, a sorted cell list with the 8 exact corner
 values of each cell and its corner table, from ``grid.sample_band`` (which
-skips what a field's Lipschitz bound rules out) or, for a given value
-lattice, ``grid._lattice_band`` and ``grid._corner_table``. Only candidate
-cells are signed. Their corners are picked out of the corner table with a
-mask and a rank, and the field's gradients are evaluated there in one call.
+skips what a field's Lipschitz bound rules out, on every lattice size) or,
+for a given value lattice, ``grid._lattice_band`` and
+``grid._corner_table``. Dense sampling serves only fields without a bound
+and given lattices. Only candidate cells are signed. Their corners are
+picked out of the corner table with a mask and a rank, and the field's
+gradients are evaluated there in one call.
 
 The corner table is the only lattice index. The weld names a lattice edge
 by its axis and the rank of its low corner in the table, and counting
@@ -33,9 +35,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (GridSpec, NonFiniteFieldError, _corner_points, _corner_subtable,
-                   _corner_table, _cull, _lattice_band, _require, _sample_corners,
-                   sample_band)
+from .grid import (GridSpec, NonFiniteFieldError, _corner_subtable, _corner_table, _cull,
+                   _lattice_band, _require, _sample_corners, sample_band)
 from .mc_tables import EDGE_AXIS, EDGE_CORNERS_LOW_HIGH, TRI_TABLE
 from .mesh import TriMesh, empty_mesh
 
@@ -157,7 +158,7 @@ def _mesh_cells(spec: GridSpec, s: np.ndarray, ids: np.ndarray, index: np.ndarra
     ca, cb = lo[e], hi[e]
     low = ids[index[c, ca]]
     vertex_ids = EDGE_AXIS[e] * n ** 3 + low
-    pa, pb = _corner_points(spec, low), _corner_points(spec, ids[index[c, cb]])
+    pa, pb = spec.corner_points(low), spec.corner_points(ids[index[c, cb]])
     t = s[c, ca] / (s[c, ca] - s[c, cb])
     vertices = pa + t[:, None] * (pb - pa)
     return TriMesh(vertices, faces), vertex_ids, disagreements
@@ -192,11 +193,11 @@ def extract_mesh_detailed(field, spec: GridSpec,
     Without ``samples``, ``sample_band`` hands over the cells that may pass
     the cull test with their exact corner values, evaluating a field that
     declares a Lipschitz bound only where the bound cannot rule the test
-    out. ``samples`` is an (N, N, N) value lattice, as ``sample_grid``
-    returns, checked like it: a non-finite value raises
-    ``NonFiniteFieldError`` naming its corner. Either way the field's
-    gradients are evaluated only at the corners of candidate cells, and the
-    output is the same as from dense ``samples``.
+    out, and a field without one at every corner. ``samples`` is an (N, N,
+    N) value lattice, as ``sample_grid`` returns, checked like it: a
+    non-finite value raises ``NonFiniteFieldError`` naming its corner.
+    Either way the field's gradients are evaluated only at the corners of
+    candidate cells, and the output is the same as from dense ``samples``.
 
     An edge cut in one sign-assigned cell but uncut in another is counted in
     ``edge_disagreements``. Neighboring cells can disagree near borders when
@@ -243,14 +244,9 @@ def extract_mesh_detailed(field, spec: GridSpec,
     return mesh, stats
 
 
-def extract_mesh(field, spec: GridSpec,
-                 cull_factor: float = DEFAULT_CULL_FACTOR,
-                 grad_norm_min: float = DEFAULT_GRAD_NORM_MIN,
-                 threads: int | None = None,
-                 samples: np.ndarray | None = None) -> TriMesh:
-    mesh, _ = extract_mesh_detailed(field, spec, cull_factor, grad_norm_min,
-                                    threads, samples)
-    return mesh
+def extract_mesh(field, spec: GridSpec) -> TriMesh:
+    """The mesh of ``extract_mesh_detailed`` at its defaults."""
+    return extract_mesh_detailed(field, spec)[0]
 
 
 def mesh_signed_grid(values: np.ndarray, spec: GridSpec) -> TriMesh:

@@ -4,12 +4,13 @@
 array. ``sample_band`` hands extraction and inflation the cells whose
 values may meet a band, sorted, with their 8 exact corner values; for a
 field with a Lipschitz bound it evaluates only the blocks the bound cannot
-rule out. Gradients are evaluated only at the corners extraction signs,
-by ``_sample_corners`` given their ids. Every query runs in the fixed
-chunks of ``_evaluate``, lattice corners through ``_sample_corners``, so
-results do not depend on the worker count. The calling thread is one
-worker; ``resolve_threads`` gives the count, by default one per core left
-over by BLAS.
+rule out, on every lattice size. The dense path serves only fields without
+a bound and value lattices given by the caller. Gradients are evaluated
+only at the corners extraction signs, by ``_sample_corners`` given their
+ids. Every query runs in the fixed chunks of ``_evaluate``, lattice
+corners through ``_sample_corners``, so results do not depend on the
+worker count. The calling thread is one worker; ``resolve_threads`` gives
+the count, by default one per core left over by BLAS.
 
 ``sample_band`` also hands on its corner table (``_corner_table``): the
 sorted distinct corner ids of its cells and each cell's (m, 8) index into
@@ -102,8 +103,12 @@ class GridSpec:
     bounds_max: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2 corners per axis")
+        try:
+            n = operator.index(self.resolution)
+        except TypeError:
+            n = 0
+        _require(n >= 2, "resolution", "an integer of at least 2", self.resolution)
+        object.__setattr__(self, "resolution", n)
         lo, hi = np.asarray(self.bounds_min, float), np.asarray(self.bounds_max, float)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError(f"bounds must be finite, got bounds_min {lo.tolist()} "
@@ -129,16 +134,14 @@ class GridSpec:
     def axis_coords(self, axis: int) -> np.ndarray:
         return np.linspace(self.bounds_min[axis], self.bounds_max[axis], self.resolution)
 
-    def corner_points(self) -> np.ndarray:
-        """All lattice corners as (N^3, 3), x varying fastest."""
+    def corner_points(self, ids: np.ndarray | None = None) -> np.ndarray:
+        """The (k, 3) lattice points of x-fastest corner ids, or all N^3
+        corners, x varying fastest, without ``ids``."""
+        n = self.resolution
+        if ids is None:
+            ids = np.arange(n ** 3)
         xs, ys, zs = (self.axis_coords(a) for a in range(3))
-        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-        pts = np.empty((self.resolution ** 3, 3))
-        # transpose so the flat order runs x fastest, then y, then z
-        pts[:, 0] = gx.transpose(2, 1, 0).ravel()
-        pts[:, 1] = gy.transpose(2, 1, 0).ravel()
-        pts[:, 2] = gz.transpose(2, 1, 0).ravel()
-        return pts
+        return np.column_stack([xs[ids % n], ys[ids // n % n], zs[ids // (n * n)]])
 
     def corner_linear_index(self, ijk: np.ndarray) -> np.ndarray:
         ijk = np.asarray(ijk)
@@ -242,17 +245,10 @@ def _sample_corners(field: UdfField, spec: GridSpec, threads: int | None,
     n = spec.resolution
 
     def points(s, e):
-        return _corner_points(spec, np.arange(s, e) if ids is None else ids[s:e])
+        return spec.corner_points(np.arange(s, e) if ids is None else ids[s:e])
 
     return _evaluate(field, n ** 3 if ids is None else len(ids), points, threads,
                      grad, "corner")
-
-
-def _corner_points(spec: GridSpec, ids: np.ndarray) -> np.ndarray:
-    """The (k, 3) lattice points of x-fastest corner ids."""
-    n = spec.resolution
-    xs, ys, zs = (spec.axis_coords(a) for a in range(3))
-    return np.column_stack([xs[ids % n], ys[ids // n % n], zs[ids // (n * n)]])
 
 
 def sample_grid(field: UdfField, spec: GridSpec, threads: int | None = None) -> np.ndarray:
@@ -337,22 +333,23 @@ def sample_band(field: UdfField, spec: GridSpec, lower: float, upper: float,
     A field with ``lipschitz = L`` moves by at most L per unit distance, so
     its value u(c) at the centre of a block of s^3 cells bounds the whole
     block to [u(c) - h, u(c) + h] with h = L (s/2) cell diagonals. Blocks
-    start at the largest power-of-two stride s <= (N-1)/4 and halve down to
-    stride 2; each level keeps only the blocks whose bound meets the band,
-    and the cells of the last survivors are returned. A field without a
-    bound, or a lattice too small for stride 2, gets every corner evaluated,
-    as ``sample_grid`` does, and every cell with a corner at or below
-    ``upper`` and one at or above ``lower`` is returned.
+    start at the largest power-of-two stride s <= (N-1)/4, or at stride 2
+    on a lattice of fewer than 8 cells per axis, and halve down to stride 2;
+    each level keeps only the blocks whose bound meets the band, and the
+    cells of the last survivors are returned. Only a field without a bound
+    gets every corner evaluated, as ``sample_grid`` does, and every cell
+    with a corner at or below ``upper`` and one at or above ``lower`` is
+    returned.
     """
     n = spec.resolution
     m = n - 1
-    s = 1
-    while 2 * s <= m / 4:
-        s *= 2
-    if field.lipschitz is None or s < 2:
+    if field.lipschitz is None:
         cells, u8 = _lattice_band(sample_grid(field, spec, threads), lower, upper)
         return cells, u8, _corner_table(spec, cells), n ** 3
 
+    s = 2
+    while 2 * s <= m / 4:
+        s *= 2
     lo, step = np.asarray(spec.bounds_min), spec.step
     axis = np.arange(0, m, s)
     blocks = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)

@@ -67,6 +67,10 @@ def _mesh(path, vertices, faces) -> TriMesh:
 # one binary PLY face record: a vertex count, then three vertex indices
 _PLY_FACE = np.dtype([("count", "u1"), ("index", "<i4", (3,))])
 _PLY_REAL = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8"}
+# the face lists read as _PLY_FACE; an unsigned index of 2^31 or more reads
+# negative and is refused
+_PLY_LISTS = {f"list {count} {index}" for count in ("uchar", "uint8")
+              for index in ("int", "int32", "uint", "uint32")}
 
 
 def write_ply(mesh: TriMesh, path) -> None:
@@ -89,12 +93,13 @@ def write_ply(mesh: TriMesh, path) -> None:
 
 
 def read_ply(path) -> TriMesh:
-    """A binary little-endian PLY of triangles with int32 indices; the first
-    three vertex properties, float or double, are x, y and z."""
+    """A binary little-endian PLY of triangles, each face one list of a
+    uchar count and int or uint indices; the first three vertex properties,
+    float or double, are x, y and z."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"ply":
             raise MeshFormatError(f"{path}: not a PLY file")
-        fmt, counts, types, element = None, {}, [], None
+        fmt, counts, types, face, element = None, {}, [], [], None
         while (line := fh.readline()).strip() != b"end_header":
             if not line:
                 raise MeshFormatError(f"{path}: unterminated PLY header")
@@ -108,6 +113,8 @@ def read_ply(path) -> TriMesh:
                     counts[element] = int(rest[1])
                 elif key == "property" and element == "vertex":
                     types.append(rest[0])
+                elif key == "property" and element == "face":
+                    face.append(" ".join(rest[:-1]))
             except (ValueError, IndexError):
                 raise MeshFormatError(f"{path}: bad PLY header line {' '.join(words)!r}")
         body = fh.read()
@@ -116,6 +123,9 @@ def read_ply(path) -> TriMesh:
     if len(types) < 3 or not set(types) <= _PLY_REAL.keys():
         raise MeshFormatError(f"{path}: vertex properties {' '.join(types)!r} are not "
                               "x, y, z first, each float or double")
+    if "face" in counts and (len(face) != 1 or face[0] not in _PLY_LISTS):
+        raise MeshFormatError(f"{path}: face properties {'; '.join(face)!r} are not one "
+                              "list of a uchar count and int or uint indices")
     vertex = np.dtype([(f"p{i}", _PLY_REAL[t]) for i, t in enumerate(types)])
     n_verts, n_faces = counts.get("vertex", 0), counts.get("face", 0)
     if min(n_verts, n_faces) < 0 or (

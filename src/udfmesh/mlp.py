@@ -6,9 +6,11 @@ Weight files are JSON with keys ``encoding_order``, ``layer_sizes``,
 feature map before the first layer: for each coordinate x the features are
 [x] followed by [sin(2^k pi x), cos(2^k pi x)] for k = 0..order-1, sines of
 all three coordinates before cosines within each octave. An optional latent
-code is appended after the encoded coordinates. Hidden layers use the
-rectifier; the final scalar passes through an absolute value (and an
-optional clamp at ``d_max``) so the field is a valid unsigned distance.
+code is appended after the encoded coordinates; it is the field's
+parameter vector, and ``with_params`` gives the same network with another
+code. Hidden layers use the rectifier; the final scalar passes through an
+absolute value (and an optional clamp at ``d_max``) so the field is a
+valid unsigned distance.
 
 Spatial gradients and latent sensitivities come from a hand-rolled
 reverse-mode pass over the same weights.
@@ -111,6 +113,9 @@ class MlpUdf(UdfField):
             raise WeightFileError("weights and biases count differ")
         if not self.weights:
             raise WeightFileError("network has no layers")
+        for i, w in enumerate(self.weights):
+            if w.ndim != 2:
+                raise WeightFileError(f"layer {i}: weight matrix must be 2-D")
         expected_in = encoded_dim(self.encoding_order) + self.latent_dim
         if self.weights[0].shape[1] != expected_in:
             raise WeightFileError(
@@ -118,8 +123,6 @@ class MlpUdf(UdfField):
                 f"encoding convention (order {self.encoding_order}, latent "
                 f"{self.latent_dim}) produces {expected_in}")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2:
-                raise WeightFileError(f"layer {i}: weight matrix must be 2-D")
             if b.shape[0] != w.shape[0]:
                 raise WeightFileError(
                     f"layer {i}: bias length {b.shape[0]} != output size {w.shape[0]}")
@@ -137,13 +140,10 @@ class MlpUdf(UdfField):
     def layer_sizes(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
-    def with_latent(self, latent) -> "MlpUdf":
-        return MlpUdf(self.weights, self.biases, self.encoding_order,
-                      self.latent_dim, latent, self.d_max)
-
-    # alias so fitting code can treat any parametric field uniformly
     def with_params(self, params) -> "MlpUdf":
-        return self.with_latent(params)
+        """The same network with the latent code ``params``."""
+        return MlpUdf(self.weights, self.biases, self.encoding_order,
+                      self.latent_dim, params, self.d_max)
 
     @property
     def params(self) -> np.ndarray:
@@ -270,12 +270,20 @@ class MlpUdf(UdfField):
 
     @classmethod
     def from_dict(cls, data: dict, latent=None) -> "MlpUdf":
-        for key in ("encoding_order", "layer_sizes", "weights", "biases", "latent_dim"):
-            if key not in data:
+        """A missing field, or one of the wrong type, raises
+        ``WeightFileError`` naming it."""
+        if not isinstance(data, dict):
+            raise WeightFileError(f"weight file holds a {type(data).__name__}, not an object")
+        value = {}
+        for key, read in _FILE_FIELDS.items():
+            if key not in data and key != "d_max":
                 raise WeightFileError(f"weight file missing field {key!r}")
-        net = cls(data["weights"], data["biases"], data["encoding_order"],
-                  data["latent_dim"], latent, data.get("d_max"))
-        sizes = [int(s) for s in data["layer_sizes"]]
+            try:
+                value[key] = read(data.get(key))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise WeightFileError(f"weight file field {key!r}: {exc}") from None
+        sizes = value.pop("layer_sizes")
+        net = cls(latent=latent, **value)
         if net.layer_sizes != sizes:
             raise WeightFileError(
                 f"declared layer_sizes {sizes} do not match weight shapes {net.layer_sizes}")
@@ -286,6 +294,17 @@ class MlpUdf(UdfField):
         with open(path) as fh:
             data = json.load(fh)
         return cls.from_dict(data, latent)
+
+
+def _arrays(value) -> list[np.ndarray]:
+    return [np.asarray(a, dtype=np.float64) for a in value]
+
+
+# the fields of a weight file, each with the reader of its type
+_FILE_FIELDS = {
+    "encoding_order": int, "layer_sizes": lambda v: [int(s) for s in v],
+    "weights": _arrays, "biases": _arrays, "latent_dim": int, "d_max": _clamp,
+}
 
 
 def random_mlp(hidden=(32, 32), encoding_order: int = 5, latent_dim: int = 0,

@@ -36,6 +36,7 @@ from .mesh import TriMesh
 
 IMAGE_SIZE = 256
 VFOV_DEG = 45.0
+CAMERA_SCALE = 1.5            # camera cuboid over the scene bounding box
 # clipped-box pixels per batch of consecutive faces: large enough to
 # amortise numpy call overhead, small enough to keep peak memory flat
 _CHUNK_PAIRS = 1 << 15
@@ -49,12 +50,12 @@ _CHUNK_PAIRS = 1 << 15
 _SPAN_EPS = 2.0 ** -40
 
 
-def cuboid_cameras(bounds_min, bounds_max, scale: float = 1.5) -> np.ndarray:
-    """Eight camera positions: scaled bounding-box corners."""
+def cuboid_cameras(bounds_min, bounds_max) -> np.ndarray:
+    """Eight camera positions: bounding-box corners scaled by ``CAMERA_SCALE``."""
     lo = np.asarray(bounds_min, dtype=np.float64)
     hi = np.asarray(bounds_max, dtype=np.float64)
     center = 0.5 * (lo + hi)
-    half = np.maximum(0.5 * (hi - lo), 1e-3) * scale
+    half = np.maximum(0.5 * (hi - lo), 1e-3) * CAMERA_SCALE
     corners = np.array([(sx, sy, sz)
                         for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
                        dtype=np.float64)
@@ -83,13 +84,13 @@ def look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.stack([right, up, forward])
 
 
-def render_view(mesh: TriMesh, eye, target, size: int = IMAGE_SIZE,
-                vfov_deg: float = VFOV_DEG) -> tuple[np.ndarray, np.ndarray]:
+def render_view(mesh: TriMesh, eye, target,
+                size: int = IMAGE_SIZE) -> tuple[np.ndarray, np.ndarray]:
     """Render one view; returns (silhouette bool (H,W), normal map (H,W,3))."""
     if mesh.is_empty():
         return np.zeros((size, size), dtype=bool), np.zeros((size, size, 3))
 
-    face, count, per_face = _drawn_faces(mesh, eye, target, size, vfov_deg)
+    face, count, per_face = _drawn_faces(mesh, eye, target, size)
     ends = np.cumsum(count)
     zbuf = np.zeros(size * size)
     winner = np.full(size * size, -1)
@@ -107,12 +108,12 @@ def render_view(mesh: TriMesh, eye, target, size: int = IMAGE_SIZE,
     return (winner >= 0).reshape(size, size), normals
 
 
-def _drawn_faces(mesh, eye, target, size, vfov_deg):
+def _drawn_faces(mesh, eye, target, size):
     """The faces to draw, in order, with the pixel count of each one's
     clipped box and the per-face columns ``_fill_chunk`` reads."""
     frame = look_at(np.asarray(eye, float), np.asarray(target, float))
     cam = (mesh.vertices - eye) @ frame.T
-    focal = 1.0 / np.tan(np.radians(vfov_deg) / 2.0)
+    focal = 1.0 / np.tan(np.radians(VFOV_DEG) / 2.0)
 
     front = cam[:, 2][mesh.faces] > 1e-9
     face = np.flatnonzero(front[:, 0] & front[:, 1] & front[:, 2])

@@ -44,7 +44,7 @@ def extracted_fields():
         "garment-dmax": MeshUdf(clothes.mesh, d_max=0.2),
         "translated-garment": TranslatedMeshUdf(clothes, (0.03, -0.02, 0.01)),
         "mlp": random_mlp(hidden=(16, 16), encoding_order=3, seed=4),
-        "mlp-latent-dmax": net.with_latent([0.3, -0.2, 0.1, 0.25]),
+        "mlp-latent-dmax": net.with_params([0.3, -0.2, 0.1, 0.25]),
     }
 
 

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from udfmesh import (load_grid_dump, primitives, random_mlp, read_obj,
-                     sample_grid, write_obj, write_xyz)
+from udfmesh import (extract_mesh, load_grid_dump, primitives, random_mlp, read_obj,
+                     remove_spurious_facets, sample_grid, write_obj, write_xyz)
 from udfmesh.cli import build_parser, main
 from udfmesh.grid import GridSpec
 
@@ -316,6 +316,54 @@ class TestGradcheckCommand:
                    "--res", "9", "--directions", "1", "--out", out)
         assert code == 0
         assert out.read_text().startswith("vertex,predicted,measured")
+
+
+def latent_weights(tmp_path):
+    """A network with a 2-entry latent code, saved as a weight file."""
+    path = tmp_path / "latent.json"
+    LATENT_NET.save(path)
+    return path
+
+
+LATENT_NET = random_mlp(hidden=(16, 16), encoding_order=2, latent_dim=2, seed=3)
+LATENT = ["--params", "0.3,-0.2", "--res", "17", "--bounds=-1.0037,0.9963"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("mesh", ["--cull-factor", "0.5"]),
+    ("mesh", ["--grad-norm-min", "1.2"]),
+    ("mesh", ["--prune-tol", "0.01"]),
+    ("mesh", ["--no-prune"]),
+    ("mesh", ["--smooth-steps", "1"]),
+    ("mesh", ["--smooth-weight", "0.2"]),
+    ("mesh-inflate", ["--eps", "0.1"]),
+    ("mesh-inflate", ["--eps-factor", "1.0"]),
+    ("gradcheck", ["--alpha", "0.2"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_tuning_flag_reaches_its_stage(command, flag, tmp_path):
+    # a value other than the default changes the bytes written, so the flag
+    # is read by the stage it tunes
+    argv = [command, "--weights", latent_weights(tmp_path), *LATENT]
+    if command == "gradcheck":
+        argv += ["--directions", "1", "--eps", "1e-3"]
+    written = []
+    for extra in ([], flag):
+        out = tmp_path / f"out{len(written)}.{'csv' if command == 'gradcheck' else 'obj'}"
+        # gradcheck exits 1 when a vertex fails its check, and still writes
+        assert run(*argv, *extra, "--out", out) in (0, 1)
+        written.append(out.read_bytes())
+    assert written[0] != written[1]
+
+
+def test_no_smoothing_writes_the_pruned_extraction(tmp_path):
+    out, ref = tmp_path / "out.obj", tmp_path / "ref.obj"
+    assert run("mesh", "--weights", latent_weights(tmp_path), *LATENT,
+               "--smooth-steps", "0", "--out", out) == 0
+    field, spec = LATENT_NET.with_params([0.3, -0.2]), GridSpec(17, (-1.0037,) * 3,
+                                                                (0.9963,) * 3)
+    write_obj(remove_spurious_facets(extract_mesh(field, spec), field,
+                                     0.5 * spec.cell_diagonal), ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 class TestDumpGridCommand:

@@ -160,7 +160,7 @@ def extraction_cases():
               ("garment-33", garment, bench_spec(33)),
               ("garment-65", garment, bench_spec(65)),
               ("mlp-17", mlp, generic_spec(17)),
-              ("mlp-33", mlp.with_latent([0.3, -0.2, 0.1, 0.25]), generic_spec(33))]
+              ("mlp-33", mlp.with_params([0.3, -0.2, 0.1, 0.25]), generic_spec(33))]
     return cases
 
 

@@ -6,11 +6,12 @@ import pytest
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
                      SphereShellUdf, TranslatedPlaneUdf, TriMesh, UdfField, diffgeom,
                      assemble_jacobian, directional_gradcheck, extract_mesh,
-                     fit_point_cloud, image_consistency, primitives, render,
-                     vertex_normals)
-from udfmesh.diffgeom import (DEFAULT_ALPHA, border_vertex_rows, interior_vertex_rows,
-                              outward_vectors)
+                     fit_point_cloud, image_consistency, primitives, random_mlp,
+                     remove_spurious_facets, render, vertex_normals)
+from udfmesh.diffgeom import (DEFAULT_ALPHA, border_vertex_rows, gradcheck_csv,
+                              interior_vertex_rows, outward_vectors)
 from udfmesh.mlp import encoded_dim
+from udfmesh.postprocess import default_prune_tol
 
 from conftest import generic_spec
 from oracles import unique_extract_mesh_detailed
@@ -293,10 +294,24 @@ class TestDirectionalGradcheck:
         with pytest.raises(ValueError, match="leaves the parameters unchanged"):
             directional_gradcheck(field, generic_spec(17), np.array([1.0]), eps=1e-300)
 
+    def test_predicted_rates_probe_at_alpha(self):
+        # the rates checked are those assemble_jacobian gives at the alpha
+        # passed, not at the default probe distance
+        net = random_mlp(hidden=(16, 16), encoding_order=2, latent_dim=2, seed=3)
+        spec, delta = generic_spec(17), np.array([0.6, 0.8])
+        mesh0 = remove_spurious_facets(extract_mesh(net, spec), net, default_prune_tol(spec))
+        rep = directional_gradcheck(net, spec, delta, alpha=0.2)
+        checked = [rec[0] for rec in rep.records]
+        assert len(checked) == rep.n_checked > 0
+        rates = assemble_jacobian(mesh0, net, 0.2).rows @ delta
+        np.testing.assert_array_equal([rec[1] for rec in rep.records], rates[checked])
+        assert not np.array_equal((assemble_jacobian(mesh0, net).rows @ delta)[checked],
+                                  rates[checked])
+
     def test_csv_has_one_row_per_check(self):
         field = TranslatedPlaneUdf(0.07)
         rep = directional_gradcheck(field, GridSpec(17), np.array([1.0]))
-        lines = rep.csv().strip().splitlines()
+        lines = gradcheck_csv(rep.records).strip().splitlines()
         assert len(lines) == rep.n_checked + 1
 
     def test_mlp_latent_code_twenty_directions(self, rng):

@@ -128,7 +128,7 @@ class TestTriangulateCell:
         # the faces of the batched extraction, in order
         field = SphereShellUdf(0.5)
         spec = generic_spec(17)
-        mesh = extract_mesh(field, spec, samples=sample_grid(field, spec))
+        mesh = extract_mesh_detailed(field, spec, samples=sample_grid(field, spec))[0]
         tris = []
         for c, u, g in zip(*candidates(field, spec)):
             s, _ = sign_cell(u, g)
@@ -289,7 +289,7 @@ class TestExtractMesh:
         spec = generic_spec(33)
         paths = []
         for t in (1, 4):
-            mesh = extract_mesh(field, spec, threads=t)
+            mesh = extract_mesh_detailed(field, spec, threads=t)[0]
             p = tmp_path / f"out_{t}.obj"
             write_obj(mesh, p)
             paths.append(p.read_bytes())

@@ -37,7 +37,7 @@ def one_field_per_family():
         "sphere": SphereShellUdf(0.45),
         "patch": RectanglePatchUdf(0.4, -0.5, (-0.45, 0.55), 0.08),
         "cylinder": OpenCylinderUdf(0.55, (-0.5, 0.4)),
-        "mlp": net.with_latent([0.3, -0.2, 0.1, 0.25]),
+        "mlp": net.with_params([0.3, -0.2, 0.1, 0.25]),
     }
 
 
@@ -388,7 +388,7 @@ def oracle_fields():
                 net = random_mlp(hidden=(16, 16), encoding_order=3, latent_dim=latent,
                                  d_max=d_max, seed=seed)
                 name = f"mlp-{seed}" + "-latent" * bool(latent) + "-dmax" * bool(d_max)
-                fields[name] = net.with_latent([0.3, -0.2, 0.1, 0.25][:latent])
+                fields[name] = net.with_params([0.3, -0.2, 0.1, 0.25][:latent])
     return fields
 
 
@@ -485,7 +485,7 @@ class TestSampleBand:
         assert all(FAMILIES[name].lipschitz == 1.0 for name in LIPSCHITZ_FAMILIES)
 
     @pytest.mark.parametrize("make_spec", [GridSpec, generic_spec], ids=["dyadic", "generic"])
-    @pytest.mark.parametrize("n", [17, 33, 50])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 33, 50])
     @pytest.mark.parametrize("name", LIPSCHITZ_FAMILIES)
     def test_certified_paths_match_dense(self, name, n, make_spec):
         field, spec = FAMILIES[name], make_spec(n)
@@ -497,6 +497,10 @@ class TestSampleBand:
             assert getattr(stats, key) == getattr(dense_stats, key), key
         assert stats.corner_source == "lipschitz"
         assert stats.corners_evaluated <= n ** 3
+        if n == 8 and name == "patch":
+            # 7 cells per axis: the blocks start at stride 2, and the bound
+            # rules corners out here too
+            assert stats.corners_evaluated < n ** 3
 
         # the default eps, and one wide enough that blocks are certified
         # below it

@@ -8,6 +8,7 @@ Inputs come from seeded numpy generators.
 """
 
 import dataclasses
+import json
 import re
 import struct
 
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
-                     SphereShellUdf, TranslatedMeshUdf, TriMesh, assemble_jacobian,
+                     SphereShellUdf, TranslatedMeshUdf, TriMesh, WeightFileError,
+                     assemble_jacobian,
                      directional_gradcheck, evaluate_pair, extract_mesh,
                      extract_mesh_detailed, fit_point_cloud, inflate_mesh,
                      mesh_signed_grid, parametric_field, primitives, random_mlp,
@@ -167,11 +169,58 @@ def test_mlp_latent_must_be_finite(bad):
     net = random_mlp(hidden=(4,), encoding_order=2, latent_dim=3, seed=1)
     latent = [0.1, bad, 0.2]
     with pytest.raises(ValueError, match="^latent must be finite"):
-        net.with_latent(latent)
-    with pytest.raises(ValueError, match="^latent must be finite"):
         net.with_params(latent)
     with pytest.raises(ValueError, match="^latent must be finite"):
         MlpUdf.from_dict(net.to_dict(), latent)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("weights", 3), ("layer_sizes", None), ("latent_dim", [1]), ("encoding_order", "five"),
+    ("biases", "x"), ("d_max", [0.5]),
+])
+def test_weight_file_field_of_wrong_type_is_named(key, value, tmp_path, capsys):
+    # the first three raised TypeError, the next two a bare ValueError, and
+    # the command line printed a traceback and exited 1
+    data = random_mlp(hidden=(4,), encoding_order=2, seed=0).to_dict()
+    data[key] = value
+    with pytest.raises(WeightFileError, match=rf"^weight file field {key!r}: "):
+        MlpUdf.from_dict(data)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    assert run("mesh", "--weights", path, "--res", "9", "--out", tmp_path / "o.obj") == 2
+    err = capsys.readouterr().err
+    assert [line.startswith("error:") for line in err.splitlines()] == [True]
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda data: [1, 2], r"^weight file holds a list, not an object"),
+    # a scalar first layer raised IndexError
+    (lambda data: {**data, "weights": [3.0, data["weights"][1]]},
+     r"^layer 0: weight matrix must be 2-D"),
+], ids=["list", "scalar-layer"])
+def test_weight_file_of_the_wrong_shape_is_refused(edit, message):
+    data = random_mlp(hidden=(4,), encoding_order=2, seed=0).to_dict()
+    with pytest.raises(WeightFileError, match=message):
+        MlpUdf.from_dict(edit(data))
+
+
+# -- lattices ------------------------------------------------------------------
+
+@pytest.mark.parametrize("resolution", [17.5, np.float64(17), "17", None, 1],
+                         ids=["float", "numpy-float", "str", "none", "one"])
+def test_resolution_must_be_an_integer(resolution):
+    # 17.5 and float64(17) were accepted and failed inside extraction with
+    # TypeError; "17" and None raised TypeError from the comparison
+    with pytest.raises(ValueError, match=r"^resolution must be an integer of at least 2, "
+                       r"got " + re.escape(repr(resolution))):
+        GridSpec(resolution)
+
+
+def test_numpy_integer_resolution_is_kept():
+    # stored as an int: a numpy integer made dump_grid's JSON sidecar fail
+    spec = GridSpec(np.int64(17))
+    assert spec.resolution == 17 and type(spec.resolution) is int
 
 
 # -- value lattices ------------------------------------------------------------

@@ -56,6 +56,21 @@ def ply_with_vertex_properties(path, vertices, faces, types):
     path.write_bytes(header.encode("ascii") + rows.tobytes() + packed)
 
 
+def ply_with_face_list(path, mesh, count, index):
+    """A binary PLY of ``mesh`` whose face list is written, and declared, with
+    a ``count`` vertex count and ``index`` vertex indices."""
+    types = {"uchar": "u1", "short": "<i2", "int": "<i4", "uint": "<u4"}
+    record = np.dtype([("count", types[count]), ("index", types[index], (3,))])
+    faces = np.empty(mesh.n_faces, record)
+    faces["count"], faces["index"] = 3, mesh.faces
+    header = (f"ply\nformat binary_little_endian 1.0\nelement vertex {mesh.n_vertices}\n"
+              "property double x\nproperty double y\nproperty double z\n"
+              f"element face {mesh.n_faces}\nproperty list {count} {index} vertex_indices\n"
+              "end_header\n")
+    path.write_bytes(header.encode("ascii") + mesh.vertices.astype("<f8").tobytes()
+                     + faces.tobytes())
+
+
 @pytest.fixture
 def sphere_mesh():
     return extract_mesh(SphereShellUdf(0.5), generic_spec(17))
@@ -175,13 +190,32 @@ class TestPly:
         (lambda b: b.replace(b"format binary_little_endian", b"format ascii"),
          "little-endian"),
         (lambda b: b.replace(b"end_header\n", b""), "unterminated PLY header"),
-    ], ids=["negative-count", "two-properties", "uchar-property", "ascii", "no-end-header"])
+        (lambda b: b.replace(b"list uchar int", b"list int int"), "'list int int' are not"),
+    ], ids=["negative-count", "two-properties", "uchar-property", "ascii", "no-end-header",
+            "int-count-declared"])
     def test_unsupported_header_names_file(self, edit, message, tmp_path):
         path = tmp_path / "bad.ply"
         write_ply(primitives.square_patch(), path)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(MeshFormatError, match=r"^\S*bad\.ply: .*" + re.escape(message)):
             read_ply(path)
+
+    @pytest.mark.parametrize("count,index", [("int", "int"), ("uchar", "short")])
+    def test_face_list_of_other_types_is_refused(self, count, index, tmp_path):
+        # such a list was decoded as uchar int: "face 1 has 0 vertices" for
+        # int int, a data-size complaint for uchar short
+        path = tmp_path / "list.ply"
+        ply_with_face_list(path, primitives.uv_sphere(), count, index)
+        with pytest.raises(MeshFormatError, match=rf"^\S*list\.ply: face properties "
+                           rf"'list {count} {index}' are not one list"):
+            read_ply(path)
+
+    def test_uint_indices_read(self, tmp_path):
+        path, sphere = tmp_path / "uint.ply", primitives.uv_sphere()
+        ply_with_face_list(path, sphere, "uchar", "uint")
+        back = read_ply(path)
+        np.testing.assert_array_equal(back.vertices, sphere.vertices)
+        np.testing.assert_array_equal(back.faces, sphere.faces)
 
     def test_first_non_triangle_face_is_named(self, tmp_path):
         # a quad as face 1 of 2: the record before it is aligned, so it is

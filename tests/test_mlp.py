@@ -104,7 +104,7 @@ class TestGradients:
 
     def test_latent_sensitivity_matches_finite_differences(self, rng):
         field = random_mlp(hidden=(16,), encoding_order=3, latent_dim=6, seed=7)
-        field = field.with_latent(rng.normal(size=6) * 0.3)
+        field = field.with_params(rng.normal(size=6) * 0.3)
         pts = rng.uniform(-1, 1, (200, 3))
         pts = pts[field.eval(pts) > 0.05]
         sens = field.param_sensitivity(pts)
@@ -115,9 +115,9 @@ class TestGradients:
         for c in range(6):
             z = field.latent.copy()
             z[c] += h
-            up_field = field.with_latent(z)
+            up_field = field.with_params(z)
             z[c] -= 2 * h
-            dn_field = field.with_latent(z)
+            dn_field = field.with_params(z)
             stable &= (allocating_hidden_sign_pattern(up_field, pts) == ref).all(axis=1)
             stable &= (allocating_hidden_sign_pattern(dn_field, pts) == ref).all(axis=1)
             fd[:, c] = (up_field.eval(pts) - dn_field.eval(pts)) / (2 * h)
@@ -136,10 +136,10 @@ def assert_bitwise(a, b):
 ORACLE_NETS = {
     "plain": lambda: random_mlp(hidden=(16, 16), encoding_order=4, seed=2),
     "latent": lambda: random_mlp(hidden=(16, 12), encoding_order=3, latent_dim=5,
-                                 seed=4).with_latent([0.3, -0.1, 0.2, 0.05, -0.4]),
+                                 seed=4).with_params([0.3, -0.1, 0.2, 0.05, -0.4]),
     "dmax": lambda: random_mlp(hidden=(16, 16), encoding_order=5, d_max=0.2, seed=5),
     "latent-dmax": lambda: random_mlp(hidden=(8, 8, 8), encoding_order=2, latent_dim=3,
-                                      d_max=0.3, seed=6).with_latent([0.2, 0.1, -0.3]),
+                                      d_max=0.3, seed=6).with_params([0.2, 0.1, -0.3]),
     "wavy-patch": lambda: wavy_patch_mlp(1),
 }
 
@@ -329,7 +329,7 @@ class TestSerialization:
         field.save(path)
         back = MlpUdf.from_file(path, latent=[0.1, -0.2, 0.3])
         pts = rng.uniform(-1, 1, (20, 3))
-        ref = field.with_latent([0.1, -0.2, 0.3])
+        ref = field.with_params([0.1, -0.2, 0.3])
         np.testing.assert_allclose(back.eval(pts), ref.eval(pts))
 
     def test_layer_shape_mismatch_names_layer(self):

@@ -205,7 +205,7 @@ def assert_spans_hold_passing_pixels(mesh, eye, target, size):
     """Every pixel of a drawn face's clipped box that passes the loop's
     pass test lies in that face's column span. Returns the number of
     passing pixels and of span pixels."""
-    face, count, per_face = _drawn_faces(mesh, eye, target, size, VFOV_DEG)
+    face, count, per_face = _drawn_faces(mesh, eye, target, size)
     x0, x1, y0, y1, p0x, p0y, v0x, v0y, v1x, v1y, den = per_face[:11]
     gx, dx, ylo, rows = _column_spans(*per_face[:11])
     nx = x1 - x0 + 1
@@ -372,23 +372,23 @@ def test_adversarial_cases_reach_their_edge_conditions():
     # the division by depth, at 97 px also in the multiplication by size
     for size, share in ((16, 0.9), (97, 0.6), (256, 0.9)):
         mesh = pixel_centres(np.random.default_rng(size), size)
-        _, _, per_face = _drawn_faces(mesh, AXIS_EYE, TARGET, size, VFOV_DEG)
+        _, _, per_face = _drawn_faces(mesh, AXIS_EYE, TARGET, size)
         p0 = np.column_stack(per_face[4:6])
         assert np.isin(p0, np.arange(-3, size + 3)).mean() > share
     size = 256
     rng = np.random.default_rng(size)
-    _, _, per_face = _drawn_faces(slivers(rng, size), AXIS_EYE, TARGET, size, VFOV_DEG)
+    _, _, per_face = _drawn_faces(slivers(rng, size), AXIS_EYE, TARGET, size)
     assert (np.abs(per_face[10]) < 1e-12).sum() >= 5
-    _, _, per_face = _drawn_faces(axis_aligned(rng, size), AXIS_EYE, TARGET, size, VFOV_DEG)
+    _, _, per_face = _drawn_faces(axis_aligned(rng, size), AXIS_EYE, TARGET, size)
     v0x, v0y, v1x, v1y = per_face[6:10]
     assert ((v0y == 0) & (v1x == 0)).sum() >= 20
     assert ((v0y != 0) & (np.abs(v0y) < 1e-5)).sum() >= 20
-    _, _, per_face = _drawn_faces(near_eye(rng, size), AXIS_EYE, TARGET, size, VFOV_DEG)
+    _, _, per_face = _drawn_faces(near_eye(rng, size), AXIS_EYE, TARGET, size)
     x0, x1 = per_face[:2]
     span = np.abs(np.column_stack([per_face[6], per_face[8]])).max(axis=1)
     assert (span > 1e7).all() and ((x0 == 0) | (x1 == size - 1)).all()
     big = larger_than_batch(rng, size)
-    _, count, _ = _drawn_faces(big, AXIS_EYE, TARGET, size, VFOV_DEG)
+    _, count, _ = _drawn_faces(big, AXIS_EYE, TARGET, size)
     assert count.max() > _CHUNK_PAIRS
 
 
