@@ -32,8 +32,7 @@ from .metrics import nearest_neighbor_sq, sample_surface
 from .postprocess import default_prune_tol, remove_spurious_facets, smooth_borders
 
 DEFAULT_ALPHA = 1e-2
-# the rate tolerances of directional_gradcheck (see its docstring)
-GRADCHECK_RTOL = 0.10
+GRADCHECK_RTOL = 0.10         # rate tolerances of directional_gradcheck
 GRADCHECK_ATOL = 1e-4
 
 

@@ -67,8 +67,7 @@ def _mesh(path, vertices, faces) -> TriMesh:
 # one binary PLY face record: a vertex count, then three vertex indices
 _PLY_FACE = np.dtype([("count", "u1"), ("index", "<i4", (3,))])
 _PLY_REAL = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8"}
-# the face lists read as _PLY_FACE; an unsigned index of 2^31 or more reads
-# negative and is refused
+# face lists read as _PLY_FACE: a uint index of 2^31 or more reads negative, refused
 _PLY_LISTS = {f"list {count} {index}" for count in ("uchar", "uint8")
               for index in ("int", "int32", "uint", "uint32")}
 

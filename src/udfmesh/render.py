@@ -36,7 +36,7 @@ from .mesh import TriMesh
 
 IMAGE_SIZE = 256
 VFOV_DEG = 45.0
-CAMERA_SCALE = 1.5            # camera cuboid over the scene bounding box
+CAMERA_SCALE = 1.5            # cameras sit on the scene box scaled by this
 # clipped-box pixels per batch of consecutive faces: large enough to
 # amortise numpy call overhead, small enough to keep peak memory flat
 _CHUNK_PAIRS = 1 << 15

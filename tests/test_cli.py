@@ -318,15 +318,16 @@ class TestGradcheckCommand:
         assert out.read_text().startswith("vertex,predicted,measured")
 
 
+# a network with a 2-entry latent code, meshed at 17^3 on a generic box
+LATENT_NET = random_mlp(hidden=(16, 16), encoding_order=2, latent_dim=2, seed=3)
+LATENT = ["--params", "0.3,-0.2", "--res", "17", "--bounds=-1.0037,0.9963"]
+LATENT_SPEC = GridSpec(17, (-1.0037,) * 3, (0.9963,) * 3)
+
+
 def latent_weights(tmp_path):
-    """A network with a 2-entry latent code, saved as a weight file."""
     path = tmp_path / "latent.json"
     LATENT_NET.save(path)
     return path
-
-
-LATENT_NET = random_mlp(hidden=(16, 16), encoding_order=2, latent_dim=2, seed=3)
-LATENT = ["--params", "0.3,-0.2", "--res", "17", "--bounds=-1.0037,0.9963"]
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -359,10 +360,9 @@ def test_no_smoothing_writes_the_pruned_extraction(tmp_path):
     out, ref = tmp_path / "out.obj", tmp_path / "ref.obj"
     assert run("mesh", "--weights", latent_weights(tmp_path), *LATENT,
                "--smooth-steps", "0", "--out", out) == 0
-    field, spec = LATENT_NET.with_params([0.3, -0.2]), GridSpec(17, (-1.0037,) * 3,
-                                                                (0.9963,) * 3)
-    write_obj(remove_spurious_facets(extract_mesh(field, spec), field,
-                                     0.5 * spec.cell_diagonal), ref)
+    field = LATENT_NET.with_params([0.3, -0.2])
+    write_obj(remove_spurious_facets(extract_mesh(field, LATENT_SPEC), field,
+                                     0.5 * LATENT_SPEC.cell_diagonal), ref)
     assert out.read_bytes() == ref.read_bytes()
 
 

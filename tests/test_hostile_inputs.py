@@ -17,8 +17,7 @@ import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
                      SphereShellUdf, TranslatedMeshUdf, TriMesh, WeightFileError,
-                     assemble_jacobian,
-                     directional_gradcheck, evaluate_pair, extract_mesh,
+                     assemble_jacobian, directional_gradcheck, evaluate_pair, extract_mesh,
                      extract_mesh_detailed, fit_point_cloud, inflate_mesh,
                      mesh_signed_grid, parametric_field, primitives, random_mlp,
                      remove_spurious_facets, sample_grid, sample_surface, smooth_borders,
