@@ -20,13 +20,21 @@ class MeshFormatError(ValueError):
     """A mesh or point-cloud file that cannot be read; the message names it."""
 
 
+OBJ_BLOCK = 4096      # rows per % format in write_obj
+
+
 def write_obj(mesh: TriMesh, path) -> None:
+    """Write ``mesh`` as OBJ text, ``OBJ_BLOCK`` rows per ``%`` format."""
     with open(path, "w") as fh:
         fh.write("# udfmesh OBJ\n")
-        for v in mesh.vertices:
-            fh.write("v %.8g %.8g %.8g\n" % (v[0], v[1], v[2]))
-        for f in mesh.faces:
-            fh.write("f %d %d %d\n" % (f[0] + 1, f[1] + 1, f[2] + 1))
+        _write_rows(fh, "v %.8g %.8g %.8g\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
+
+
+def _write_rows(fh, line: str, rows: np.ndarray) -> None:
+    for s in range(0, len(rows), OBJ_BLOCK):
+        block = rows[s:s + OBJ_BLOCK]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_obj(path) -> TriMesh:

@@ -119,6 +119,9 @@ class TriMesh:
             has = count > 0
             face[has] = border_face[order[first[has]] // 2]
             self._cache["border"] = (count, nbrs, face)
+            # only this table reads edge_of; a mesh that keeps both holds
+            # 3 ints per face more than it needs
+            del self._cache["edge_of"]
         return self._cache["border"]
 
     def border_edges(self) -> np.ndarray:

@@ -568,3 +568,13 @@ def struct_write_ply(mesh, path) -> None:
         for f in mesh.faces:
             body += struct.pack("<Biii", 3, int(f[0]), int(f[1]), int(f[2]))
         fh.write(bytes(body))
+
+
+def loop_write_obj(mesh, path) -> None:
+    """OBJ text written one ``%`` format per vertex and per face."""
+    with open(path, "w") as fh:
+        fh.write("# udfmesh OBJ\n")
+        for v in mesh.vertices:
+            fh.write("v %.8g %.8g %.8g\n" % (v[0], v[1], v[2]))
+        for f in mesh.faces:
+            fh.write("f %d %d %d\n" % (f[0] + 1, f[1] + 1, f[2] + 1))

@@ -156,3 +156,81 @@ def test_non_finite_vertex_rejected_at_build(bad):
     vertices[9, 0] = np.nan
     with pytest.raises(ValueError, match=r"^vertex 5 is not finite"):
         MeshUdf(TriMesh(vertices, mesh.faces))
+
+
+SCALE_MESHES = {"uv-sphere": primitives.uv_sphere(), "garment": garment()}
+
+
+@pytest.mark.parametrize("name", SCALE_MESHES)
+def test_power_of_two_scales_are_bitwise(name):
+    # the index walks the mesh scaled to a 1/2..1 box by a power of two, so
+    # a mesh and its queries scaled by 2^j give exactly 2^j times the unit
+    # answer, far below the scales where the walk's fourth-power products
+    # underflowed. 2^248 is the largest power of two that keeps these
+    # meshes inside COORD_LIMIT, which still holds in the caller's units
+    mesh = SCALE_MESHES[name]
+    pts = np.random.default_rng(7).uniform(-1, 1, (200, 3))
+    index = MeshDistanceIndex(mesh.vertices, mesh.faces)
+    assert index._k == 1
+    d0, cp0 = index.query(pts)
+    for s in (2.0 ** -300, 2.0 ** -270, 2.0 ** -260, 2.0 ** 60, 2.0 ** 248):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, cp = MeshDistanceIndex(mesh.vertices * s, mesh.faces).query(pts * s)
+        assert_bitwise([d, cp], [d0 * s, cp0 * s])
+
+
+@pytest.mark.parametrize("name", SCALE_MESHES)
+@pytest.mark.parametrize("s", [1e-80, 1e-77])
+def test_tiny_meshes_keep_their_distances(name, s):
+    # 1e-77 raised IndexError and 1e-80 returned 74 of 200 sphere distances
+    # wrong by up to 58% before the walk was scaled; a scale that is not a
+    # power of two rounds the vertices, so the answers agree to rounding,
+    # relative to the largest distance (a point next to the surface has a
+    # tiny distance and a larger relative error)
+    mesh = SCALE_MESHES[name]
+    pts = np.random.default_rng(8).uniform(-1, 1, (200, 3))
+    d0 = MeshDistanceIndex(mesh.vertices, mesh.faces).query(pts)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = MeshDistanceIndex(mesh.vertices * s, mesh.faces).query(pts * s)[0]
+    np.testing.assert_allclose(d / s, d0, rtol=0, atol=1e-14 * d0.max())
+
+
+def test_tiny_mesh_refuses_far_queries():
+    # scaled to its box, a query must stay inside COORD_LIMIT too
+    sphere = primitives.uv_sphere()
+    s = 2.0 ** -300
+    index = MeshDistanceIndex(sphere.vertices * s, sphere.faces)
+    pts = np.zeros((4, 3))
+    pts[2, 0] = 1.0
+    with pytest.raises(ValueError, match=r"^query point 2 is not finite or exceeds 9.818\d*e-16"):
+        index.query(pts)
+
+
+def test_worker_memory_ceiling():
+    # what one sampling worker holds for one grid.CHUNK query: BATCH,
+    # PAIRS and SETTLE bound it. The worst 65^3 chunk of the bench garment
+    # traces 2.8 MiB and near-axis points of the 720-face tube, where every
+    # face survives, 3.1 MiB; doubling PAIRS traces 4.3 and 4.7
+    import tracemalloc
+
+    from test_corner_table import bench_garment, bench_spec
+    from udfmesh.grid import CHUNK
+    spec = bench_spec(65)
+    field = MeshUdf(bench_garment())
+    tube = MeshUdf(MESHES["cylinder"])
+    rng = np.random.default_rng(0)
+    axis = np.column_stack([rng.normal(0, 1e-3, (CHUNK, 2)), rng.uniform(-0.7, 0.7, CHUNK)])
+    queries = [(tube, axis)] + [
+        (field, spec.corner_points(np.arange(s, min(s + CHUNK, 65 ** 3))))
+        for s in range(0, 65 ** 3, CHUNK)]
+    peaks = []
+    for f, pts in queries:
+        tracemalloc.start()
+        try:
+            f.eval(pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3.5 * 2 ** 20

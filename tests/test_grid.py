@@ -126,6 +126,20 @@ class TestSampleGrid:
         np.testing.assert_array_equal(lattice_gradients(field, spec, threads=1),
                                       lattice_gradients(field, spec, threads=4))
 
+    def test_thread_count_does_not_change_mesh_distances(self):
+        # MeshUdf queries run their distance index on both workers; values
+        # and the gradient pass at given corner ids stay bitwise
+        from test_corner_table import bench_garment
+        field = MeshUdf(bench_garment())
+        spec = generic_spec(33)             # 35,937 corners: two chunks
+        assert spec.resolution ** 3 > CHUNK
+        assert_bitwise(sample_grid(field, spec, threads=1), sample_grid(field, spec, threads=2))
+        ids = np.arange(33 ** 3)
+        one = _sample_corners(field, spec, 1, True, ids)
+        two = _sample_corners(field, spec, 2, True, ids)
+        assert_bitwise(one[0], two[0])
+        assert_bitwise(one[1], two[1])
+
     def test_thread_env_var_respected_argument_wins(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "3")
         assert resolve_threads(None) == 3

@@ -6,15 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from udfmesh import (MeshUdf, SphereShellUdf, dump_grid, extract_mesh, load_grid_dump,
+from udfmesh import (MeshUdf, SphereShellUdf, TriMesh, dump_grid, extract_mesh, load_grid_dump,
                      primitives, read_mesh, read_obj, read_ply, read_xyz, sample_grid,
                      write_obj, write_ply, write_xyz)
 from udfmesh.grid import GridSpec
+from udfmesh import io
 from udfmesh.io import MeshFormatError
 from udfmesh.mesh import empty_mesh
 
 from conftest import generic_spec
-from oracles import struct_write_ply
+from oracles import loop_write_obj, struct_write_ply
 from test_corner_table import bench_garment, bench_spec
 
 
@@ -285,3 +286,30 @@ class TestGridDump:
             json.dump(meta, fh)
         with pytest.raises(ValueError, match=rf"grid\.json: no '{key}' entry"):
             load_grid_dump(base)
+
+
+def awkward_mesh() -> TriMesh:
+    """Vertices holding -0.0, 1e-300, 1e30 and other hard cases for %.8g."""
+    verts = np.array([[-0.0, 0.0, 1e-300], [1e30, -1e30, 5e-324], [0.1, -2.5e-7, 123456789.0],
+                      [1 / 3, -2 / 3, 1e15]])
+    return TriMesh(verts, [[0, 1, 2], [1, 3, 2]])
+
+
+def awkward_points() -> TriMesh:
+    """The same vertices and an empty face list."""
+    return TriMesh(awkward_mesh().vertices, np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("block", [1, 3, io.OBJ_BLOCK])
+@pytest.mark.parametrize("mesh", [
+    awkward_mesh, awkward_points, empty_mesh, lambda: primitives.uv_sphere(),
+    lambda: extract_mesh(MeshUdf(bench_garment()), bench_spec(65)),
+], ids=["awkward", "no-faces", "empty", "uv-sphere", "garment-65"])
+def test_write_obj_matches_line_loop(mesh, block, tmp_path, monkeypatch):
+    # the blocked writer is byte-identical to one format per line, across
+    # block edges (blocks of 1 and 3 rows) and within one block
+    mesh = mesh()
+    monkeypatch.setattr(io, "OBJ_BLOCK", block)
+    write_obj(mesh, tmp_path / "a.obj")
+    loop_write_obj(mesh, tmp_path / "b.obj")
+    assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
