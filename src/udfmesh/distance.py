@@ -55,20 +55,6 @@ MORTON_BITS = 10      # centroid quantization per axis for the build order
 COORD_LIMIT = 1e75
 
 
-def closest_point_on_triangles(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Closest point on triangle i to point i, for paired inputs.
-
-    points: (n, 3); triangles: (n, 3, 3). Returns (n, 3).
-
-    Each row is first assigned its region (vertex A, B, C, edge AB, AC, BC,
-    then interior, the first test that holds wins) and only that region's
-    expression is evaluated on its rows.
-    """
-    p = np.ascontiguousarray(points, dtype=np.float64)
-    tri = np.asarray(triangles, dtype=np.float64)
-    return _closest_points(p, _corner_table(tri), np.arange(len(p)))
-
-
 def _corner_table(tri: np.ndarray) -> tuple[np.ndarray, ...]:
     """Corners a, b, c and edge vectors b - a, c - a, c - b of the triangles
     (n, 3, 3), each a contiguous (n, 3) array: the walk then runs every
@@ -89,9 +75,14 @@ _ROW = np.dtype((np.void, 24))
 
 def _closest_points(p: np.ndarray, corners: tuple[np.ndarray, ...],
                     slot: np.ndarray) -> np.ndarray:
-    """The walk of ``closest_point_on_triangles`` from contiguous (n, 3)
-    points p[i] to the triangles slot[i] of the ``_corner_table``
-    ``corners``; only the rows of edge BC gather c - b."""
+    """Closest point to p[i] on the triangle slot[i] of the
+    ``_corner_table`` ``corners``, for (n, 3) points p. Returns (n, 3).
+
+    Each row is first assigned its region (vertex A, B, C, edge AB, AC, BC,
+    then interior, the first test that holds wins) and only that region's
+    expression is evaluated on its rows; only the rows of edge BC gather
+    c - b.
+    """
     a, b, c, ab, ac = (x.take(slot, axis=0) for x in corners[:5])
     ap, bp, cp = p - a, p - b, p - c
     # every dot product is the einsum of the sweep, over contiguous rows
@@ -118,7 +109,7 @@ def _closest_points(p: np.ndarray, corners: tuple[np.ndarray, ...],
     ends = np.searchsorted(region.take(order), np.arange(7, dtype=np.int8), side="right")
     rows = np.split(order, ends[:-1])
 
-    out = np.empty_like(p)
+    out = np.empty((len(p), 3))
     o = _rows(out)
     for corner, i in zip((a, b, c), rows[:3]):
         o[i] = _rows(corner).take(i)
@@ -242,7 +233,8 @@ class MeshDistanceIndex:
         is not finite or exceeds ``COORD_LIMIT`` in magnitude, or in units
         of the mesh's scale for a mesh smaller than 1.
         """
-        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        # C-ordered rows keep every step of the walk one flat loop
+        points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
         _check_coordinates(points, "query point", self._limit)
         d = np.empty(len(points))
         cp = np.empty((len(points), 3))

@@ -65,19 +65,24 @@ class TriMesh:
     def edges_with_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges (E, 2) and their incident-face counts."""
         if "edges" not in self._cache:
-            raw = np.concatenate([self.faces[:, [0, 1]],
-                                  self.faces[:, [1, 2]],
-                                  self.faces[:, [2, 0]]])
-            raw = np.sort(raw, axis=1)
-            # one integer key per (low, high) pair sorts like the pair
-            nv = max(self.n_vertices, 1)
-            keys, edge_of, counts = np.unique(raw[:, 0] * nv + raw[:, 1],
-                                              return_inverse=True,
-                                              return_counts=True)
-            edges = np.stack(np.divmod(keys, nv), axis=1)
+            edges, edge_of, counts = self._unique_edges()
             self._cache["edges"] = (edges, counts)
             self._cache["edge_of"] = edge_of
         return self._cache["edges"]
+
+    def _unique_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unique undirected edges, the edge of each face edge (edge (0, 1)
+        of every face, then (1, 2), then (2, 0)) and the counts."""
+        raw = np.concatenate([self.faces[:, [0, 1]],
+                              self.faces[:, [1, 2]],
+                              self.faces[:, [2, 0]]])
+        raw = np.sort(raw, axis=1)
+        # one integer key per (low, high) pair sorts like the pair
+        nv = max(self.n_vertices, 1)
+        keys, edge_of, counts = np.unique(raw[:, 0] * nv + raw[:, 1],
+                                          return_inverse=True,
+                                          return_counts=True)
+        return np.stack(np.divmod(keys, nv), axis=1), edge_of, counts
 
     def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
         """Faces around every vertex, in face order: vertex v touches faces
@@ -98,11 +103,16 @@ class TriMesh:
         """
         if "border" not in self._cache:
             edges, counts = self.edges_with_counts()
+            # only this table reads edge_of, so it takes it out of the
+            # cache: a mesh that keeps both holds 3 ints per face more than
+            # it needs. A second build of the table finds it gone
+            edge_of = self._cache.pop("edge_of", None)
+            if edge_of is None:
+                edge_of = self._unique_edges()[1]
             # face edges run edge (0, 1) of every face, then (1, 2), then
             # (2, 0); a border edge has exactly one, so one face writes it
             edge_face = np.empty(len(edges), dtype=np.int64)
-            edge_face[self._cache["edge_of"]] = (np.arange(3 * self.n_faces)
-                                                 % max(self.n_faces, 1))
+            edge_face[edge_of] = np.arange(3 * self.n_faces) % max(self.n_faces, 1)
             border = edges[counts == 1]
             border_face = edge_face[counts == 1]
             # each border edge seen from both ends, grouped by vertex
@@ -119,9 +129,6 @@ class TriMesh:
             has = count > 0
             face[has] = border_face[order[first[has]] // 2]
             self._cache["border"] = (count, nbrs, face)
-            # only this table reads edge_of; a mesh that keeps both holds
-            # 3 ints per face more than it needs
-            del self._cache["edge_of"]
         return self._cache["border"]
 
     def border_edges(self) -> np.ndarray:

@@ -171,6 +171,18 @@ class TestTriMeshTables:
         assert mesh.vertex_faces() is mesh.vertex_faces()
         assert TriMesh(mesh.vertices, mesh.faces).border_table() is not table
 
+    def test_border_table_built_again_is_the_same(self):
+        # the first build takes the face-to-edge map out of the cache; a
+        # second build of the table (two threads missing the cache at
+        # once) makes it again
+        mesh = garment()
+        table = mesh.border_table()
+        del mesh._cache["border"]
+        again = mesh.border_table()
+        assert again is not table
+        for a, b in zip(again, table):
+            np.testing.assert_array_equal(a, b)
+
     def test_face_normals_are_read_only_and_follow_moved_vertices(self):
         mesh = primitives.square_patch(side=1.0, subdivisions=2)
         cross, unit = mesh.face_normals(normalize=False), mesh.face_normals()

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from udfmesh import MeshUdf, TranslatedMeshUdf, TriMesh, distance, primitives
-from udfmesh.distance import MeshDistanceIndex, closest_point_on_triangles
+from udfmesh.distance import MeshDistanceIndex, _closest_points, _corner_table
 
 from oracles import settle_closest_points, sweep_mesh_distance
 from test_adjacency import garment
+from test_corner_table import bench_garment
 
 
 def zero_area_mesh() -> TriMesh:
@@ -125,8 +126,21 @@ def test_region_first_kernel_matches_settle_all_regions(rng):
     pts[4 * k:5 * k] = tri[4 * k:5 * k, 0]                    # on a vertex
     pts[5 * k:] = np.einsum("nk,nkj->nj", rng.dirichlet(np.ones(3), n - 5 * k),
                             tri[5 * k:])                      # on the face
-    assert_bitwise([closest_point_on_triangles(pts, tri)],
+    assert_bitwise([_closest_points(pts, _corner_table(tri), np.arange(n))],
                    [settle_closest_points(pts, tri)])
+
+
+def test_point_layout_does_not_change_answers(rng):
+    # a Fortran-ordered (n, 3) array, such as the transpose of a (3, n)
+    # one, is the same points
+    field = MeshUdf(MESHES["garment"])
+    pts = probe_points(MESHES["garment"], rng)
+    assert len(MESHES["garment"].faces) > distance.FANOUT
+    fortran = np.asfortranarray(pts)
+    assert not fortran.flags.c_contiguous
+    assert_bitwise([field.eval(fortran), *field.eval_grad(fortran), field.closest_point(fortran)],
+                   [field.eval(pts), *field.eval_grad(pts), field.closest_point(pts)])
+    assert_bitwise(field.index.query(pts[::2]), field.index.query(np.ascontiguousarray(pts[::2])))
 
 
 @pytest.mark.parametrize("name", ["patch", "cylinder"])
@@ -158,7 +172,8 @@ def test_non_finite_vertex_rejected_at_build(bad):
         MeshUdf(TriMesh(vertices, mesh.faces))
 
 
-SCALE_MESHES = {"uv-sphere": primitives.uv_sphere(), "garment": garment()}
+SCALE_MESHES = {"uv-sphere": primitives.uv_sphere(), "garment": garment(),
+                "bench-garment": bench_garment()}
 
 
 @pytest.mark.parametrize("name", SCALE_MESHES)
@@ -215,7 +230,7 @@ def test_worker_memory_ceiling():
     # face survives, 3.1 MiB; doubling PAIRS traces 4.3 and 4.7
     import tracemalloc
 
-    from test_corner_table import bench_garment, bench_spec
+    from test_corner_table import bench_spec
     from udfmesh.grid import CHUNK
     spec = bench_spec(65)
     field = MeshUdf(bench_garment())
