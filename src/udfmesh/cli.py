@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import diffgeom, io, metrics
-from .extract import extract_mesh_detailed
+from .extract import DEFAULT_CULL_FACTOR, DEFAULT_GRAD_NORM_MIN, extract_mesh_detailed
 from .fields import MeshUdf, UdfField, parametric_field
 from .grid import GridSpec, NonFiniteFieldError, dump_grid, resolve_threads, sample_grid
 from .mlp import MlpUdf
@@ -174,11 +174,9 @@ def cmd_mesh(args) -> int:
     t0 = time.perf_counter()
     mesh, stats = extract_mesh_detailed(field, spec, args.cull_factor,
                                         args.grad_norm_min, threads=args.threads)
-    if not args.no_prune and not mesh.is_empty():
+    if not args.no_prune:
         mesh = remove_spurious_facets(mesh, field, prune_tol)
-    if not mesh.is_empty():
-        mesh = smooth_borders(mesh, steps=args.smooth_steps,
-                              weight=args.smooth_weight)
+    mesh = smooth_borders(mesh, steps=args.smooth_steps, weight=args.smooth_weight)
     total = time.perf_counter() - t0
     io.write_mesh(mesh, args.out)
     print(stats.summary())
@@ -311,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     _add_grid_args(p)
     _add_threads_arg(p)
-    p.add_argument("--cull-factor", type=float, default=1.0)
-    p.add_argument("--grad-norm-min", type=float, default=0.3)
+    p.add_argument("--cull-factor", type=float, default=DEFAULT_CULL_FACTOR)
+    p.add_argument("--grad-norm-min", type=float, default=DEFAULT_GRAD_NORM_MIN)
     p.add_argument("--no-prune", action="store_true",
                    help="keep facets the field disowns")
     p.add_argument("--prune-tol", type=float, default=None,
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="score a reconstruction against a reference")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--samples", type=int, default=30000)
+    p.add_argument("--samples", type=int, default=metrics.DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report as JSON")
     p.add_argument("--dump-normal-maps", metavar="DIR",
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.02)
     p.add_argument("--reg", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=1e-2)
+    p.add_argument("--alpha", type=float, default=diffgeom.DEFAULT_ALPHA)
     p.add_argument("--surface-samples", type=int, default=10000)
     p.add_argument("--no-border-grads", action="store_true",
                    help="use the interior rule everywhere (ablation)")
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify vertex derivatives by re-extraction")
     _add_field_args(p)
     _add_grid_args(p)
-    p.add_argument("--alpha", type=float, default=1e-2,
+    p.add_argument("--alpha", type=float, default=diffgeom.DEFAULT_ALPHA,
                    help="probe distance of the predicted vertex rates")
     p.add_argument("--eps", type=float, nargs="+", default=[1e-3, 1e-4])
     p.add_argument("--directions", type=int, default=3)

@@ -64,25 +64,11 @@ class TriMesh:
 
     def edges_with_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges (E, 2) and their incident-face counts."""
-        if "edges" not in self._cache:
-            edges, edge_of, counts = self._unique_edges()
-            self._cache["edges"] = (edges, counts)
-            self._cache["edge_of"] = edge_of
+        # one build fills both tables, so the border table's key stands
+        # for both: border_table builds through here
+        if "border" not in self._cache:
+            self._build_connectivity()
         return self._cache["edges"]
-
-    def _unique_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unique undirected edges, the edge of each face edge (edge (0, 1)
-        of every face, then (1, 2), then (2, 0)) and the counts."""
-        raw = np.concatenate([self.faces[:, [0, 1]],
-                              self.faces[:, [1, 2]],
-                              self.faces[:, [2, 0]]])
-        raw = np.sort(raw, axis=1)
-        # one integer key per (low, high) pair sorts like the pair
-        nv = max(self.n_vertices, 1)
-        keys, edge_of, counts = np.unique(raw[:, 0] * nv + raw[:, 1],
-                                          return_inverse=True,
-                                          return_counts=True)
-        return np.stack(np.divmod(keys, nv), axis=1), edge_of, counts
 
     def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
         """Faces around every vertex, in face order: vertex v touches faces
@@ -102,34 +88,43 @@ class TriMesh:
         and the one face of its first border edge; -1 where absent.
         """
         if "border" not in self._cache:
-            edges, counts = self.edges_with_counts()
-            # only this table reads edge_of, so it takes it out of the
-            # cache: a mesh that keeps both holds 3 ints per face more than
-            # it needs. A second build of the table finds it gone
-            edge_of = self._cache.pop("edge_of", None)
-            if edge_of is None:
-                edge_of = self._unique_edges()[1]
-            # face edges run edge (0, 1) of every face, then (1, 2), then
-            # (2, 0); a border edge has exactly one, so one face writes it
-            edge_face = np.empty(len(edges), dtype=np.int64)
-            edge_face[edge_of] = np.arange(3 * self.n_faces) % max(self.n_faces, 1)
-            border = edges[counts == 1]
-            border_face = edge_face[counts == 1]
-            # each border edge seen from both ends, grouped by vertex
-            src = border.ravel()
-            dst = border[:, ::-1].ravel()
-            order = np.argsort(src, kind="stable")
-            count = np.bincount(src, minlength=self.n_vertices)
-            first = np.cumsum(count) - count
-            nbrs = np.full((self.n_vertices, 2), -1, dtype=np.int64)
-            for k in range(2):
-                has = count > k
-                nbrs[has, k] = dst[order[first[has] + k]]
-            face = np.full(self.n_vertices, -1, dtype=np.int64)
-            has = count > 0
-            face[has] = border_face[order[first[has]] // 2]
-            self._cache["border"] = (count, nbrs, face)
+            self.edges_with_counts()
         return self._cache["border"]
+
+    def _build_connectivity(self) -> None:
+        """Sort the face edges once and cache both the unique edges with
+        their counts and the border table."""
+        raw = np.concatenate([self.faces[:, [0, 1]],
+                              self.faces[:, [1, 2]],
+                              self.faces[:, [2, 0]]])
+        raw = np.sort(raw, axis=1)
+        # one integer key per (low, high) pair sorts like the pair
+        nv = max(self.n_vertices, 1)
+        keys, edge_of, counts = np.unique(raw[:, 0] * nv + raw[:, 1],
+                                          return_inverse=True,
+                                          return_counts=True)
+        edges = np.stack(np.divmod(keys, nv), axis=1)
+        # face edges run edge (0, 1) of every face, then (1, 2), then
+        # (2, 0); a border edge has exactly one, so one face writes it
+        edge_face = np.empty(len(edges), dtype=np.int64)
+        edge_face[edge_of] = np.arange(3 * self.n_faces) % max(self.n_faces, 1)
+        border = edges[counts == 1]
+        border_face = edge_face[counts == 1]
+        # each border edge seen from both ends, grouped by vertex
+        src = border.ravel()
+        dst = border[:, ::-1].ravel()
+        order = np.argsort(src, kind="stable")
+        count = np.bincount(src, minlength=self.n_vertices)
+        first = np.cumsum(count) - count
+        nbrs = np.full((self.n_vertices, 2), -1, dtype=np.int64)
+        for k in range(2):
+            has = count > k
+            nbrs[has, k] = dst[order[first[has] + k]]
+        face = np.full(self.n_vertices, -1, dtype=np.int64)
+        has = count > 0
+        face[has] = border_face[order[first[has]] // 2]
+        self._cache["edges"] = (edges, counts)
+        self._cache["border"] = (count, nbrs, face)
 
     def border_edges(self) -> np.ndarray:
         """Edges incident to exactly one face, shape (B, 2)."""

@@ -8,7 +8,9 @@ pass, the Fourier encoding evaluated directly at every coordinate, the
 allocating MLP forward and reverse pass that recomputes the encoding's sines
 and cosines, lattice sampling that evaluates values and gradients at every
 corner in one pass, per-vertex / per-edge loop versions of vertex normals,
-outward border vectors and border smoothing, a per-face loop z-buffer, and the
+outward border vectors and border smoothing, the vertex Jacobian as it ran
+before its probes were stacked (two outward ``eval`` calls, three
+``param_sensitivity`` calls), a per-face loop z-buffer, and the
 exact mesh distance as a sweep over the faces with a closest-point kernel
 that evaluates every region for every pair, and extraction as it ran
 before the corner table: ``np.unique`` over (m, 8, 3) and (m, 12, 3)
@@ -28,6 +30,7 @@ import struct
 
 import numpy as np
 
+from udfmesh.diffgeom import vertex_normals
 from udfmesh.mc_tables import (CORNER_OFFSETS, EDGE_AXIS, EDGE_BASE, EDGE_CORNERS,
                                EDGE_CORNERS_LOW_HIGH, TRI_TABLE)
 from udfmesh.render import IMAGE_SIZE, VFOV_DEG, look_at
@@ -321,6 +324,60 @@ def loop_smooth_borders(mesh, steps: int, weight: float) -> np.ndarray:
         mid = 0.5 * (verts[nbr[idx, 0]] + verts[nbr[idx, 1]])
         verts[idx] += weight * (mid - verts[idx])
     return verts
+
+
+def two_eval_outward_vectors(mesh, field, alpha: float):
+    """Outward border vectors as they ran before the probes were stacked:
+    the border table's chord or first edge crossed with the face normal,
+    signed by one ``eval`` ahead and one ``eval`` behind."""
+    count, nbrs, face = mesh.border_table()
+    o = np.zeros((mesh.n_vertices, 3))
+    resolved = np.zeros(mesh.n_vertices, dtype=bool)
+    if not count.any():
+        return o, resolved
+    verts = np.flatnonzero(count)
+    chord = (count[verts] == 2)[:, None]
+    first, second = nbrs[verts, 0], nbrs[verts, 1]
+    p = mesh.vertices
+    e = np.where(chord, p[second] - p[first], p[first] - p[verts])
+    cross = np.cross(mesh.face_normals()[face[verts]], e)
+    norm = np.sqrt(np.vecdot(cross, cross))
+    keep = ~(norm < 1e-9)
+    verts = verts[keep]
+    d = cross[keep] / norm[keep, None]
+    pos = p[verts]
+    u_plus = field.eval(pos + alpha * d)
+    u_minus = field.eval(pos - alpha * d)
+    sign = np.where(u_plus >= u_minus, 1.0, -1.0)
+    o[verts] = d * sign[:, None]
+    resolved[verts] = True
+    return o, resolved
+
+
+def three_call_assemble_jacobian(mesh, field, alpha: float, use_border_formula: bool = True):
+    """(directions, rows, is_border) as they ran before the probes were
+    stacked: the border mask from the border table, two outward ``eval``
+    calls, and three ``param_sensitivity`` calls, interior v - alpha n, interior
+    v + alpha n and border v + alpha o."""
+    is_border = mesh.border_vertex_mask()
+    directions = vertex_normals(mesh)
+    rows = np.zeros((mesh.n_vertices, field.param_dim))
+    border = np.zeros(mesh.n_vertices, dtype=bool)
+    if use_border_formula and is_border.any():
+        o, resolved = two_eval_outward_vectors(mesh, field, alpha)
+        border = is_border & resolved
+        directions[border] = o[border]
+    interior = ~border
+    if field.param_dim:
+        if interior.any():
+            p, n = mesh.vertices[interior], directions[interior]
+            minus = field.param_sensitivity(p - alpha * n)
+            plus = field.param_sensitivity(p + alpha * n)
+            rows[interior] = 0.5 * (minus - plus)
+        if border.any():
+            p, o = mesh.vertices[border], directions[border]
+            rows[border] = -field.param_sensitivity(p + alpha * o)
+    return directions, rows, border
 
 
 def loop_render_view(mesh, eye, target, size: int = IMAGE_SIZE,

@@ -19,7 +19,7 @@ from udfmesh import (GridSpec, MeshUdf, RectanglePatchUdf, SphereShellUdf,
                      image_consistency, inflate_mesh, normal_consistency,
                      primitives, remove_spurious_facets, sample_surface, smooth_borders)
 from udfmesh.cli import main as cli_main
-from udfmesh.diffgeom import DEFAULT_ALPHA, interior_vertex_rows
+from udfmesh.diffgeom import DEFAULT_ALPHA, vertex_rows
 
 from conftest import generic_spec
 from oracles import brute_chamfer, signed_marching_cubes, vertex_sets_match
@@ -221,8 +221,9 @@ def test_criterion_4_derivative_correctness():
         p = 0.45 * p / np.linalg.norm(p)
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        a = np.outer(n, interior_vertex_rows(sphere, p[None], n[None], DEFAULT_ALPHA)[0])
-        b = np.outer(-n, interior_vertex_rows(sphere, p[None], -n[None], DEFAULT_ALPHA)[0])
+        interior = np.zeros(1, dtype=bool)
+        a = np.outer(n, vertex_rows(sphere, p[None], n[None], interior, DEFAULT_ALPHA)[0])
+        b = np.outer(-n, vertex_rows(sphere, p[None], -n[None], interior, DEFAULT_ALPHA)[0])
         assert np.array_equal(a, b)
 
     elapsed = time.perf_counter() - t0

@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from udfmesh import (extract_mesh, load_grid_dump, primitives, random_mlp, read_obj,
-                     remove_spurious_facets, sample_grid, write_obj, write_xyz)
+from udfmesh import (diffgeom, extract_mesh, load_grid_dump, metrics, primitives,
+                     random_mlp, read_obj, remove_spurious_facets, sample_grid,
+                     write_obj, write_xyz)
 from udfmesh.cli import build_parser, main
+from udfmesh.extract import DEFAULT_CULL_FACTOR, DEFAULT_GRAD_NORM_MIN
 from udfmesh.grid import GridSpec
 
 
@@ -141,6 +143,19 @@ def test_threads_offered_only_where_sampling_reads_it():
                if any("--threads" in a.option_strings for a in sub._actions)}
     assert offered == {"mesh", "mesh-inflate", "dump-grid"}
     assert set(commands) > offered
+
+
+def test_defaults_come_from_the_library():
+    commands = build_parser()._subparsers._group_actions[0].choices
+
+    def default(command, flag):
+        return next(a.default for a in commands[command]._actions
+                    if flag in a.option_strings)
+    assert default("mesh", "--cull-factor") == DEFAULT_CULL_FACTOR
+    assert default("mesh", "--grad-norm-min") == DEFAULT_GRAD_NORM_MIN
+    assert default("fit-pc", "--alpha") == diffgeom.DEFAULT_ALPHA
+    assert default("gradcheck", "--alpha") == diffgeom.DEFAULT_ALPHA
+    assert default("metrics", "--samples") == metrics.DEFAULT_SAMPLES
 
 
 class TestMeshCommand:

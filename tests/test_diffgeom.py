@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from udfmesh import (GridSpec, MeshUdf, MlpUdf, OpenCylinderUdf, RectanglePatchUdf,
-                     SphereShellUdf, TranslatedPlaneUdf, TriMesh, UdfField, diffgeom,
-                     assemble_jacobian, directional_gradcheck, extract_mesh,
-                     fit_point_cloud, image_consistency, primitives, random_mlp,
-                     remove_spurious_facets, render, vertex_normals)
-from udfmesh.diffgeom import (DEFAULT_ALPHA, border_vertex_rows, gradcheck_csv,
-                              interior_vertex_rows, outward_vectors)
+                     SphereShellUdf, TranslatedMeshUdf, TranslatedPlaneUdf, TriMesh,
+                     UdfField, diffgeom, assemble_jacobian, directional_gradcheck,
+                     extract_mesh, fit_point_cloud, image_consistency, primitives,
+                     random_mlp, remove_spurious_facets, render, smooth_borders,
+                     vertex_normals)
+from udfmesh.diffgeom import DEFAULT_ALPHA, gradcheck_csv, outward_vectors, vertex_rows
 from udfmesh.mlp import encoded_dim
 from udfmesh.postprocess import default_prune_tol
 
 from conftest import generic_spec
-from oracles import unique_extract_mesh_detailed
+from oracles import (three_call_assemble_jacobian, two_eval_outward_vectors,
+                     unique_extract_mesh_detailed)
+from test_corner_table import bench_garment
 
 
 class DiskPatchUdf(UdfField):
@@ -154,26 +156,27 @@ class TestOutwardVectors:
         assert not resolved.any()
 
 
-def derivative(rows, field, v, direction, alpha=DEFAULT_ALPHA):
+def derivative(field, v, direction, border=False, alpha=DEFAULT_ALPHA):
     """Full 3 x C derivative of one vertex: its direction times its row."""
     direction = np.asarray(direction, float)
-    row = rows(field, np.asarray(v, float).reshape(1, 3), direction.reshape(1, 3), alpha)[0]
+    row = vertex_rows(field, np.asarray(v, float).reshape(1, 3), direction.reshape(1, 3),
+                      np.array([border]), alpha)[0]
     return np.outer(direction, row)
 
 
 class TestDerivativeRows:
     def test_translated_plane_vertex_tracks_parameter(self):
         field = TranslatedPlaneUdf(0.1)
-        d = derivative(interior_vertex_rows, field, (0.3, -0.2, 0.1), (0, 0, 1.0))
+        d = derivative(field, (0.3, -0.2, 0.1), (0, 0, 1.0))
         np.testing.assert_allclose(d, [[0], [0], [1.0]])
 
     def test_sphere_vertex_moves_radially(self):
         field = SphereShellUdf(0.5)
         v = np.array([0.0, 0.0, 0.5])
-        d = derivative(interior_vertex_rows, field, v, (0, 0, 1.0))
+        d = derivative(field, v, (0, 0, 1.0))
         np.testing.assert_allclose(d, [[0], [0], [1.0]])
         v = np.array([0.5, 0.0, 0.0])
-        d = derivative(interior_vertex_rows, field, v, (1.0, 0, 0))
+        d = derivative(field, v, (1.0, 0, 0))
         np.testing.assert_allclose(d, [[1.0], [0], [0]])
 
     def test_sign_invariance_exact(self, rng):
@@ -183,15 +186,15 @@ class TestDerivativeRows:
             v = 0.45 * v / np.linalg.norm(v)
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
-            a = derivative(interior_vertex_rows, field, v, n)
-            b = derivative(interior_vertex_rows, field, v, -n)
+            a = derivative(field, v, n)
+            b = derivative(field, v, -n)
             np.testing.assert_array_equal(a, b)
 
     def test_border_row_extends_with_parameter(self):
         field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.0)
         v = np.array([0.3, 0.1, 0.0])
         o = np.array([1.0, 0.0, 0.0])
-        d = derivative(border_vertex_rows, field, v, o)
+        d = derivative(field, v, o, border=True)
         np.testing.assert_allclose(d, [[1.0], [0], [0]], atol=1e-12)
 
     def test_border_row_zero_for_distant_parameter(self):
@@ -200,7 +203,7 @@ class TestDerivativeRows:
         field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.0)
         v = np.array([-0.1, 0.5, 0.0])
         o = np.array([0.0, 1.0, 0.0])
-        d = derivative(border_vertex_rows, field, v, o)
+        d = derivative(field, v, o, border=True)
         np.testing.assert_array_equal(d, np.zeros((3, 1)))
 
     def test_locality_zero_sensitivity_means_zero_row(self):
@@ -208,7 +211,7 @@ class TestDerivativeRows:
         # vertex, so its row vanishes identically
         field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.0)
         v = np.array([-0.2, 0.1, 0.0])
-        d = derivative(interior_vertex_rows, field, v, (0, 0, 1.0), alpha=1e-2)
+        d = derivative(field, v, (0, 0, 1.0), alpha=1e-2)
         np.testing.assert_array_equal(d, np.zeros((3, 1)))
 
     def test_raising_field_ahead_shrinks_surface(self):
@@ -218,7 +221,7 @@ class TestDerivativeRows:
         field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.0)
         v = np.array([0.3, 0.0, 0.0])
         o = np.array([1.0, 0.0, 0.0])
-        row = derivative(border_vertex_rows, field, v, o)[:, 0]
+        row = derivative(field, v, o, border=True)[:, 0]
         assert row @ o > 0
 
 
@@ -251,14 +254,85 @@ class TestAssembleJacobian:
         assert jac.rows.shape == (mesh.n_vertices, 0)
         assert jac.param_gradient(np.zeros((mesh.n_vertices, 3))).shape == (0,)
 
-    def test_predict_displacement_rank_one(self, rng):
-        field = SphereShellUdf(0.45)
-        mesh = extract_mesh(field, generic_spec(17))
-        jac = assemble_jacobian(mesh, field)
-        disp = jac.predict_displacement([0.01])
-        # every displacement is along the stored direction
-        cross = np.cross(disp, jac.directions)
-        np.testing.assert_allclose(cross, 0.0, atol=1e-15)
+
+class CountingField(UdfField):
+    """Wraps a field and counts its ``eval`` and ``param_sensitivity`` calls."""
+
+    def __init__(self, field):
+        self.field, self.param_dim, self.calls = field, field.param_dim, Counter()
+
+    def eval(self, x):
+        self.calls["eval"] += 1
+        return self.field.eval(x)
+
+    def param_sensitivity(self, x):
+        self.calls["param_sensitivity"] += 1
+        return self.field.param_sensitivity(x)
+
+
+def test_one_field_query_per_probe_set():
+    field = RectanglePatchUdf(0.4, -0.5, (-0.45, 0.55), 0.08)
+    mesh = smooth_borders(extract_mesh(field, generic_spec(17)))
+    counted = CountingField(field)
+    jac = assemble_jacobian(mesh, counted)
+    assert jac.is_border.any() and not jac.is_border.all()
+    assert counted.calls == {"eval": 1, "param_sensitivity": 1}
+
+
+def old_path_fields():
+    return {
+        "plane": TranslatedPlaneUdf(0.07),
+        "sphere": SphereShellUdf(0.45),
+        "patch": RectanglePatchUdf(0.4, -0.5, (-0.45, 0.55), 0.08),
+        "cylinder": OpenCylinderUdf(0.55, (-0.5, 0.4)),
+        "translated-garment": TranslatedMeshUdf(MeshUdf(bench_garment()), (0.03, -0.02, 0.01)),
+    }
+
+
+def assert_matches_old_path(mesh, field, atol=0.0):
+    """Stacked probes against the old path's separate queries: bitwise, or
+    within ``atol`` for the rows of a field whose batch changes its bits."""
+    for alpha in (DEFAULT_ALPHA, 0.2):
+        o, resolved = outward_vectors(mesh, field, alpha)
+        o_ref, resolved_ref = two_eval_outward_vectors(mesh, field, alpha)
+        assert o.tobytes() == o_ref.tobytes()
+        assert resolved.tobytes() == resolved_ref.tobytes()
+        for use_border in (True, False):
+            jac = assemble_jacobian(mesh, field, alpha, use_border)
+            directions, rows, is_border = three_call_assemble_jacobian(
+                mesh, field, alpha, use_border)
+            assert jac.directions.tobytes() == directions.tobytes()
+            assert jac.is_border.tobytes() == is_border.tobytes()
+            assert jac.rows.shape == rows.shape
+            if atol:
+                np.testing.assert_allclose(jac.rows, rows, rtol=0, atol=atol)
+            else:
+                assert jac.rows.tobytes() == rows.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:.*border vertices join")
+@pytest.mark.parametrize("res", [17, 33])
+@pytest.mark.parametrize("name", list(old_path_fields()))
+def test_jacobian_matches_old_path(name, res):
+    field = old_path_fields()[name]
+    spec = generic_spec(res)
+    mesh = smooth_borders(remove_spurious_facets(extract_mesh(field, spec), field,
+                                                 default_prune_tol(spec)))
+    assert not mesh.is_empty()
+    assert_matches_old_path(mesh, field)
+
+
+@pytest.mark.filterwarnings("ignore:.*border vertices join")
+def test_mlp_jacobian_matches_old_path_within_tolerance():
+    # the reverse pass runs over a different batch, so BLAS may round the
+    # stacked rows differently
+    net = random_mlp(hidden=(16, 16), encoding_order=2, latent_dim=2, seed=3)
+    net = net.with_params([0.3, -0.2])
+    spec = generic_spec(33)
+    mesh = smooth_borders(remove_spurious_facets(extract_mesh(net, spec), net,
+                                                 default_prune_tol(spec)))
+    assert not mesh.is_empty()
+    assert_matches_old_path(mesh, net, atol=1e-15)
 
 
 class TestDirectionalGradcheck:
@@ -279,13 +353,17 @@ class TestDirectionalGradcheck:
 
     def test_absurd_alpha_fails(self):
         # alpha far beyond the validity window probes the wrong side of the
-        # field and the predicted rates collapse
-        field = SphereShellUdf(0.45)
-        spec = generic_spec(33)
-        rep = directional_gradcheck(field, spec, np.array([1.0]), eps=1e-3,
-                                    alpha=10.0)
+        # field and the predicted rates collapse; the same check passes at
+        # the default alpha, so the probe distance is what fails it
+        field = RectanglePatchUdf(0.3, -0.5, (-0.5, 0.5), 0.05)
+        spec, delta = generic_spec(17), np.array([1.0])
+        rep = directional_gradcheck(field, spec, delta, eps=1e-3)
+        assert rep.passed and rep.n_checked == 59
+        rep = directional_gradcheck(field, spec, delta, eps=1e-3, alpha=10.0)
         assert not rep.passed
-        assert rep.worst is not None
+        v, predicted, measured = rep.worst
+        assert v == 31 and measured == 0.0
+        assert predicted == pytest.approx(0.177, abs=1e-3)
 
     def test_step_below_parameter_resolution_raises(self):
         # eps * delta vanishes against the radius: no vertex could move, so
